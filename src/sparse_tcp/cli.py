@@ -23,6 +23,7 @@ import numpy as np
 
 from .merit import ObjectiveParams
 from .oracle import (
+    N_MAX,
     LeastElementOptions,
     OracleOptions,
     brute_force_sparse,
@@ -128,8 +129,8 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    if inst.n > 8:
-        print(f"error: oracle guard: n = {inst.n} > 8", file=sys.stderr)
+    if inst.n > N_MAX:
+        print(f"error: oracle guard: n = {inst.n} > {N_MAX}", file=sys.stderr)
         return 2
     z = is_z_tensor(inst.tensor)
     if args.least_element and not z:

@@ -117,56 +117,112 @@ def _restrict(inst: Instance, support) -> tuple[DenseTensor, np.ndarray]:
     return sub, inst.q[support]
 
 
+# Backtracking rungs 2^-1 ... 2^-39 tried after a rejected full Newton step:
+# every step length above 1e-12 that halving from 1 reaches.
+_LADDER = 0.5 ** np.arange(1, 40)
+# Cap on the Kronecker entries (rows times s^(m-1)) of one ladder contraction,
+# about 8 MB, so large supports and orders evaluate the ladder in row blocks.
+LADDER_BLOCK_ENTRIES = 2**20
+
+
+def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise solutions of jac[r] @ step[r] = g[r]; NaN rows where jac[r] is singular."""
+    try:
+        return np.linalg.solve(jac, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(g, np.nan)
+        for r in range(len(g)):
+            try:
+                step[r] = np.linalg.solve(jac[r], g[r])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def _sufficient(g_new: np.ndarray, lam, base: np.ndarray) -> np.ndarray:
+    """Residual decrease test ||g_new|| <= (1 - lam/2) ||g|| on finite rows."""
+    finite = np.all(np.isfinite(g_new), axis=-1)
+    return finite & (np.linalg.norm(g_new, axis=-1) <= (1 - 0.5 * lam) * base)
+
+
+def _line_search(sub: DenseTensor, q_sub: np.ndarray, x, g, step):
+    """Halving line search for every row at once: (x_new, g_new, found).
+
+    Each row takes the first accepted step length of 1, 2^-1, ..., 2^-39,
+    the step a halving loop would accept; rows that accept none have found
+    False and their x_new and g_new are meaningless.
+    """
+    base = np.linalg.norm(g, axis=-1)
+    x_new = x - step
+    g_new = contract_m1(sub, x_new) + q_sub
+    found = _sufficient(g_new, 1.0, base)
+    retry = np.flatnonzero(~found)
+    if retry.size:
+        cand = x[retry, None, :] - _LADDER[:, None] * step[retry, None, :]
+        flat = cand.reshape(-1, x.shape[1])
+        block = max(1, LADDER_BLOCK_ENTRIES // x.shape[1] ** (sub.m - 1))
+        g_cand = np.concatenate(
+            [contract_m1(sub, flat[i : i + block]) for i in range(0, len(flat), block)]
+        ).reshape(cand.shape) + q_sub
+        ok = _sufficient(g_cand, _LADDER, base[retry, None])
+        rung = np.argmax(ok, axis=1)  # first accepted rung
+        hit = np.flatnonzero(ok[np.arange(retry.size), rung])
+        x_new[retry[hit]] = cand[hit, rung[hit]]
+        g_new[retry[hit]] = g_cand[hit, rung[hit]]
+        found[retry[hit]] = True
+    return x_new, g_new, found
+
+
 def reduced_newton(inst: Instance, support, x0, iters: int = 60, tol: float = 1e-12):
     """Damped Newton for the square system w_i(u) = 0, i in support, u = 0 off it.
 
     The instance must hold a semi-symmetric tensor so that (m-1) contract_m2
-    is the Jacobian of u -> A u^{m-1}.  Returns (x, status) with status one of
-    "ok", "singular", "stalled".
+    is the Jacobian of u -> A u^{m-1}.  x0 is one start of length
+    s = len(support) or a (k, s) batch of independent starts, all advanced
+    together.  Each start stops on its own: "ok" once max|w| <= tol,
+    "singular" on a singular Jacobian or a non-finite step, "stalled" when
+    the line search fails or 8 steps in a row miss a 30% gain on the best
+    max|w|.  Returns (x, status) for one start and (X, statuses) for a batch,
+    statuses a tuple of str in start order.
     """
     support = list(support)
     sub, q_sub = _restrict(inst, support)
     mfac = inst.m - 1
-    x = np.asarray(x0, dtype=float).copy()
+    x0 = np.asarray(x0, dtype=float)
+    x = np.array(x0, ndmin=2)
+    g = contract_m1(sub, x) + q_sub
+    status = ["stalled"] * len(x)
+    best = np.max(np.abs(g), axis=1)
+    stale = np.zeros(len(x), dtype=int)
+    act = np.arange(len(x))  # starts still iterating
 
-    def w_s(xv):
-        return contract_m1(sub, xv) + q_sub
+    def stop(rows, reason):
+        for r in rows:
+            status[r] = reason
 
-    g = w_s(x)
-    stale = 0
-    best = float(np.max(np.abs(g)))
     for _ in range(iters):
-        gn = float(np.max(np.abs(g)))
-        if gn <= tol:
-            return x, "ok"
-        jac = mfac * contract_m2(sub, x)
-        try:
-            step = np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            return x, "singular"
-        if not np.all(np.isfinite(step)):
-            return x, "singular"
-        lam = 1.0
-        base = float(np.linalg.norm(g))
-        while lam > 1e-12:
-            x_new = x - lam * step
-            g_new = w_s(x_new)
-            if np.all(np.isfinite(g_new)) and float(np.linalg.norm(g_new)) <= (1 - 0.5 * lam) * base:
-                break
-            lam *= 0.5
-        else:
-            return x, "stalled"
-        x, g = x_new, g_new
-        gn_new = float(np.max(np.abs(g)))
-        if gn_new < 0.7 * best:
-            best, stale = gn_new, 0
-        else:
-            stale += 1
-            if stale >= 8:  # no real progress: a root is not nearby
-                return x, "stalled"
-    if float(np.max(np.abs(g))) <= tol:
-        return x, "ok"
-    return x, "stalled"
+        done = np.max(np.abs(g[act]), axis=1) <= tol
+        stop(act[done], "ok")
+        act = act[~done]
+        if not act.size:
+            break
+        step = _newton_steps(mfac * contract_m2(sub, x[act]), g[act])
+        singular = ~np.all(np.isfinite(step), axis=1)
+        stop(act[singular], "singular")
+        act, step = act[~singular], step[~singular]
+        x_new, g_new, found = _line_search(sub, q_sub, x[act], g[act], step)
+        act = act[found]  # the rest stalled: no step length was accepted
+        x[act], g[act] = x_new[found], g_new[found]
+        gn = np.max(np.abs(g[act]), axis=1)
+        gained = gn < 0.7 * best[act]
+        best[act[gained]] = gn[gained]
+        stale[act] = np.where(gained, 0, stale[act] + 1)
+        act = act[stale[act] < 8]  # no real progress: a root is not nearby
+    else:
+        stop(act[np.max(np.abs(g[act]), axis=1) <= tol], "ok")
+    if x0.ndim == 1:
+        return x[0], status[0]
+    return x, tuple(status)
 
 
 def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> OracleResult:
@@ -203,19 +259,16 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
                 aborted = True
                 break
             if size == 0:
-                candidates = [np.zeros(0)]
+                candidates = [np.zeros(n)]
             else:
-                candidates = [rng.uniform(0.05, 2.0, size) for _ in range(opts.newton_starts)]
-            for x0 in candidates:
-                if size == 0:
-                    u = np.zeros(n)
-                else:
-                    x, status = reduced_newton(
-                        work, support, x0, iters=opts.newton_iters, tol=opts.newton_tol
-                    )
-                    if status != "ok":
-                        continue
-                    u = _embed(x, support, n)
+                x0 = rng.uniform(0.05, 2.0, (opts.newton_starts, size))
+                xs, statuses = reduced_newton(
+                    work, support, x0, iters=opts.newton_iters, tol=opts.newton_tol
+                )
+                candidates = [
+                    _embed(x, support, n) for x, status in zip(xs, statuses) if status == "ok"
+                ]
+            for u in candidates:
                 report, passed = verify_solution(inst, u, opts.tol, tol_zero=opts.tol_zero)
                 if passed and not known(u):
                     solutions.append((u, report.support, report))

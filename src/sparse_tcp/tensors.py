@@ -18,6 +18,28 @@ SOURCES = ("generated", "file", "paper-example")
 
 INSTANCE_KINDS = ("diagonal", "z_feasible", "random", "paper_example")
 
+# Largest tensor, in entries n^m, that any constructor, generator or loader
+# accepts (128 MiB of doubles); checked before anything is allocated.
+MAX_TENSOR_ENTRIES = 2**24
+
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse an order-m, dimension-n tensor with more than MAX_TENSOR_ENTRIES entries.
+
+    The power is built one factor at a time and abandoned past the cap, so an
+    absurd m read from a file never costs a big-integer evaluation of n^m.
+    """
+    if n <= 1:
+        return
+    entries = 1
+    for _ in range(m):
+        entries *= n
+        if entries > MAX_TENSOR_ENTRIES:
+            raise ValueError(
+                f"tensor too large: n^m = {n}^{m} exceeds the cap of "
+                f"{MAX_TENSOR_ENTRIES} entries"
+            )
+
 
 @dataclass(eq=False)
 class DenseTensor:
@@ -32,6 +54,7 @@ class DenseTensor:
             raise ValueError(f"tensor order must be >= 2, got {self.m}")
         if self.n < 1:
             raise ValueError(f"tensor dimension must be >= 1, got {self.n}")
+        _check_size(self.n, self.m)
         ent = np.array(self.entries, dtype=float).reshape(-1)
         if ent.size != self.n**self.m:
             raise ValueError(
@@ -115,26 +138,35 @@ class ResidualReport:
 
 
 def _check_dim(A: DenseTensor, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != A.n:
-        raise ValueError(f"dimension mismatch: len(u)={u.size}, tensor dimension n={A.n}")
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2):
+        u = u.reshape(-1)
+    if u.shape[-1] != A.n:
+        raise ValueError(
+            f"dimension mismatch: len(u)={u.shape[-1]}, tensor dimension n={A.n}"
+        )
     return u
 
 
 def _kron_power(u: np.ndarray, k: int) -> np.ndarray:
+    """k-fold Kronecker power along the first axis: shape (n, ...) -> (n^k, ...)."""
     if k == 0:
-        return np.ones(1)
+        return np.ones((1,) + u.shape[1:])
     out = u
     for _ in range(k - 1):
-        out = (out[:, None] * u).reshape(-1)
+        out = (out[:, None] * u).reshape((out.shape[0] * u.shape[0],) + u.shape[1:])
     return out
 
 
 def contract_m1(A: DenseTensor, u) -> np.ndarray:
-    """(A u^{m-1})_i = sum over i2..im of a_{i,i2,..,im} * u_{i2} * ... * u_{im}."""
+    """(A u^{m-1})_i = sum over i2..im of a_{i,i2,..,im} * u_{i2} * ... * u_{im}.
+
+    u is one vector of length n or a (k, n) batch of rows; the result has the
+    same shape, row r being the contraction with u[r].
+    """
     u = _check_dim(A, u)
     mat = A.entries.reshape(A.n, A.n ** (A.m - 1))
-    return mat @ _kron_power(u, A.m - 1)
+    return (mat @ _kron_power(u.T, A.m - 1)).T
 
 
 def contract_m2(A: DenseTensor, u) -> np.ndarray:
@@ -142,13 +174,14 @@ def contract_m2(A: DenseTensor, u) -> np.ndarray:
 
     For m = 2 this is the matrix slice of the tensor itself.  For a
     semi-symmetric tensor, M @ u equals contract_m1(A, u) and (m-1) * M is the
-    Jacobian of u -> A u^{m-1}.
+    Jacobian of u -> A u^{m-1}.  A (k, n) batch of rows gives a (k, n, n)
+    stack, one matrix per row.
     """
     u = _check_dim(A, u)
     if A.m == 2:
-        return A.entries.reshape(A.n, A.n).copy()
+        return np.broadcast_to(A.entries.reshape(A.n, A.n), u.shape[:-1] + (A.n, A.n)).copy()
     cube = A.entries.reshape(A.n, A.n, A.n ** (A.m - 2))
-    return cube @ _kron_power(u, A.m - 2)
+    return (cube @ _kron_power(u.T, A.m - 2)).T.swapaxes(-1, -2)
 
 
 def contract_full(A: DenseTensor, u) -> float:
@@ -190,6 +223,7 @@ def tensor_norm(A: DenseTensor) -> float:
 
 def identity_tensor(n: int, m: int) -> DenseTensor:
     """Diagonal tensor with a_{i,i,..,i} = 1 and all other entries 0."""
+    _check_size(n, m)
     ent = np.zeros(n**m)
     ent[_diag_flat_indices(n, m)] = 1.0
     return DenseTensor(m, n, ent)
@@ -251,6 +285,7 @@ def gen_z_feasible(
     """
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
+    _check_size(n, m)
     rng = np.random.default_rng(seed)
     drawn_card = int(rng.integers(1, min(2, n) + 1))
     if card is None:
@@ -299,6 +334,7 @@ def gen_instance(kind: str, n: int, m: int, seed: int, card: int | None = None) 
         return example_instance()
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
+    _check_size(n, m)
     if kind == "diagonal":
         rng = np.random.default_rng(seed)
         q = rng.uniform(0.0, 1.0, n)
@@ -347,13 +383,22 @@ def load_instance(path) -> Instance:
     for name in ("m", "n", "entries", "q"):
         if name not in payload:
             raise ValueError(f'parse error in {path}: missing field "{name}"')
-    m, n = payload["m"], payload["n"]
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ValueError(f'parse error in {path}: fields "m" and "n" must be integers')
+    # JSON true/false load as Python bools, which are ints: refuse them by name
+    for name in ("m", "n"):
+        val = payload[name]
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ValueError(f'parse error in {path}: field "{name}" must be an integer')
     for name in ("entries", "q"):
         val = payload[name]
-        if not isinstance(val, list) or not all(isinstance(x, (int, float)) for x in val):
+        if not isinstance(val, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
+        ):
             raise ValueError(f'parse error in {path}: field "{name}" must be a numeric array')
+    m, n = payload["m"], payload["n"]
+    try:
+        _check_size(n, m)
+    except ValueError as exc:
+        raise ValueError(f"parse error in {path}: {exc}") from exc
     if len(payload["entries"]) != n**m:
         raise ValueError(
             f'parse error in {path}: field "entries" has length {len(payload["entries"])}, '

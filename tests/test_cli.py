@@ -54,6 +54,14 @@ def test_gen_bad_kind_usage_error(tmp_path):
     assert run(["gen", "--kind", "nope", "-o", tmp_path / "x.json"]) == 2
 
 
+def test_gen_oversized_tensor_exits_2(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    assert run(["gen", "--kind", "random", "--n", 60, "--m", 7, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: tensor too large")
+    assert not out.exists()
+
+
 def test_solve_planted(tmp_path):
     inst_path = tmp_path / "inst.json"
     report_path = tmp_path / "report.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,15 @@ from sparse_tcp import (
     sample_feasible,
     verify_solution,
 )
-from sparse_tcp.oracle import LeastElementOptions, OracleResult
-from sparse_tcp.tensors import DenseTensor, ResidualReport, example_instance
+from sparse_tcp import oracle
+from sparse_tcp.oracle import LeastElementOptions, OracleResult, _restrict, reduced_newton
+from sparse_tcp.tensors import (
+    DenseTensor,
+    ResidualReport,
+    contract_m1,
+    contract_m2,
+    example_instance,
+)
 
 
 def diag_instance(q):
@@ -133,6 +142,100 @@ def test_brute_force_early_exit_not_exhaustive():
     result = brute_force_sparse(inst)
     assert result.min_card == 1
     assert not result.exhaustive
+
+
+# -- reduced_newton ------------------------------------------------------------
+
+
+def halving_newton(inst, support, x, iters=60, tol=1e-12):
+    """One start of damped Newton with a scalar halving line search: the reference."""
+    sub, q_sub = _restrict(inst, support)
+    g = contract_m1(sub, x) + q_sub
+    best, stale = np.max(np.abs(g)), 0
+    for _ in range(iters):
+        if np.max(np.abs(g)) <= tol:
+            return x, "ok"
+        try:
+            step = np.linalg.solve((inst.m - 1) * contract_m2(sub, x), g)
+        except np.linalg.LinAlgError:
+            return x, "singular"
+        if not np.all(np.isfinite(step)):
+            return x, "singular"
+        lam, base = 1.0, np.linalg.norm(g)
+        while lam > 1e-12:
+            x_new = x - lam * step
+            g_new = contract_m1(sub, x_new) + q_sub
+            if np.all(np.isfinite(g_new)) and np.linalg.norm(g_new) <= (1 - 0.5 * lam) * base:
+                break
+            lam *= 0.5
+        else:
+            return x, "stalled"
+        x, g = x_new, g_new
+        if np.max(np.abs(g)) < 0.7 * best:
+            best, stale = np.max(np.abs(g)), 0
+        else:
+            stale += 1
+            if stale >= 8:
+                return x, "stalled"
+    return x, "ok" if np.max(np.abs(g)) <= tol else "stalled"
+
+
+def test_reduced_newton_batch_matches_single_starts():
+    # every support of planted instances, 20 starts each: a batch gives every
+    # start the status and root it gets alone and under the scalar reference
+    # (some m = 4 starts leave by the 8-step stale rule)
+    statuses = set()
+    for n, m, seed in ((3, 3, 0), (4, 3, 1), (5, 3, 2), (4, 4, 1)):
+        inst, _, _ = gen_z_feasible(n, m, seed)
+        rng = np.random.default_rng(seed)
+        for size in range(1, n + 1):
+            for support in itertools.combinations(range(n), size):
+                x0 = rng.uniform(0.05, 2.0, (20, size))
+                xs, batch = reduced_newton(inst, support, x0)
+                assert type(batch) is tuple and all(type(s) is str for s in batch)
+                for x_b, status_b, start in zip(xs, batch, x0):
+                    for x, status in (
+                        reduced_newton(inst, support, start),
+                        halving_newton(inst, support, start),
+                    ):
+                        assert status == status_b
+                        if status == "ok":
+                            np.testing.assert_allclose(x_b, x, rtol=0, atol=1e-12)
+                statuses.update(batch)
+    assert statuses == {"ok", "stalled"}
+
+
+def test_reduced_newton_singular_start_stays_alone():
+    # at x = 0 the m = 3 Jacobian 2 * contract_m2(A, 0) vanishes
+    inst, _, _ = gen_z_feasible(4, 3, 5)
+    support = (0, 2, 3)
+    x0 = np.array([[0.7, 1.1, 0.4], [0.0, 0.0, 0.0], [1.5, 0.3, 0.9]])
+    xs, statuses = reduced_newton(inst, support, x0)
+    assert statuses[1] == "singular"
+    assert "singular" not in (statuses[0], statuses[2])
+    np.testing.assert_array_equal(xs[1], np.zeros(3))
+    for i in range(3):
+        assert reduced_newton(inst, support, x0[i])[1] == statuses[i]
+
+
+def test_reduced_newton_ladder_row_blocks(monkeypatch):
+    # a one-row block cap forces one contraction per ladder rung and start;
+    # the accepted steps, and so the statuses and roots, stay the same
+    inst, _, _ = gen_z_feasible(5, 3, 2)  # planted support (0, 1)
+    x0 = np.random.default_rng(3).uniform(0.05, 2.0, (20, 2))
+    runs = [reduced_newton(inst, (0, 1), x0), reduced_newton(inst, (0, 2), x0)]
+    monkeypatch.setattr(oracle, "LADDER_BLOCK_ENTRIES", 1)
+    for support, (xs, statuses) in zip(((0, 1), (0, 2)), runs):
+        xs_b, statuses_b = reduced_newton(inst, support, x0)
+        assert statuses_b == statuses
+        np.testing.assert_allclose(xs_b, xs, rtol=0, atol=1e-12)
+    assert {runs[0][1][0], runs[1][1][0]} == {"ok", "stalled"}
+
+
+def test_reduced_newton_empty_batch():
+    inst, _, _ = gen_z_feasible(3, 3, 0)
+    xs, statuses = reduced_newton(inst, (0, 1), np.zeros((0, 2)))
+    assert xs.shape == (0, 2) and statuses == ()
 
 
 # -- minimal_lp_select ----------------------------------------------------------

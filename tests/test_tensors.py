@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_tcp import (
     DenseTensor,
@@ -23,7 +25,7 @@ from sparse_tcp import (
     semi_symmetrize,
     tensor_norm,
 )
-from sparse_tcp.tensors import example_instance
+from sparse_tcp.tensors import MAX_TENSOR_ENTRIES, _check_size, example_instance
 
 
 # -- independent naive references (pure loops over multi-indices) -------------
@@ -70,6 +72,14 @@ def contract_full_naive(A, u):
 
 def random_tensor(n, m, rng):
     return DenseTensor(m, n, rng.uniform(-1.0, 1.0, n**m))
+
+
+def kron_flat(u, k):
+    """k-fold Kronecker power of one vector, as a flat vector."""
+    out = np.ones(1)
+    for _ in range(k):
+        out = (out[:, None] * u).reshape(-1)
+    return out
 
 
 # -- contraction kernels -------------------------------------------------------
@@ -139,6 +149,39 @@ def test_contraction_dimension_mismatch():
     for op in (contract_m1, contract_m2, contract_full):
         with pytest.raises(ValueError, match="dim"):
             op(A, np.ones(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(2, 4),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_rows_match_single_calls(n, m, k, seed):
+    rng = np.random.default_rng(seed)
+    A = random_tensor(n, m, rng)
+    U = rng.uniform(-2.0, 2.0, (k, n))
+    W, M = contract_m1(A, U), contract_m2(A, U)
+    assert W.shape == (k, n) and M.shape == (k, n, n)
+    for i in range(k):
+        np.testing.assert_allclose(W[i], contract_m1(A, U[i]), rtol=1e-12, atol=1e-11)
+        np.testing.assert_allclose(M[i], contract_m2(A, U[i]), rtol=1e-12, atol=1e-11)
+
+
+def test_single_vector_kernels_are_bit_exact_flat_products():
+    # the one-vector call keeps the flat matrix-times-Kronecker-vector
+    # arithmetic, so solver trajectories do not move
+    rng = np.random.default_rng(17)
+    for n, m in itertools.product((1, 2, 3, 5, 8), (2, 3, 4)):
+        A = random_tensor(n, m, rng)
+        for _ in range(5):
+            u = rng.uniform(-2.0, 2.0, n)
+            flat = A.entries.reshape(n, n ** (m - 1))
+            np.testing.assert_array_equal(contract_m1(A, u), flat @ kron_flat(u, m - 1))
+            if m > 2:
+                cube = A.entries.reshape(n, n, n ** (m - 2))
+                np.testing.assert_array_equal(contract_m2(A, u), cube @ kron_flat(u, m - 2))
 
 
 def test_homogeneity_in_u():
@@ -215,6 +258,25 @@ def test_dense_tensor_validation():
         DenseTensor(2, 2, np.array([1.0, np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError, match="order"):
         DenseTensor(1, 2, np.zeros(2))
+
+
+def test_size_cap_refuses_before_allocating():
+    # 60^7 entries would be a 20 TiB allocation
+    for build in (
+        lambda: DenseTensor(7, 60, np.zeros(1)),
+        lambda: identity_tensor(60, 7),
+        lambda: gen_instance("random", 60, 7, 0),
+        lambda: gen_instance("diagonal", 60, 7, 0),
+        lambda: gen_z_feasible(60, 7, 0),
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            build()
+    with pytest.raises(ValueError, match="too large"):
+        identity_tensor(2, 10**9)  # the power is never evaluated in full
+    assert 2**24 == MAX_TENSOR_ENTRIES
+    _check_size(2, 24)  # the cap itself is allowed
+    with pytest.raises(ValueError, match="too large"):
+        _check_size(2, 25)
 
 
 # -- instance generation -------------------------------------------------------
@@ -312,6 +374,29 @@ def test_load_wrong_entry_count(tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"m": 3, "n": 2, "entries": [0.0] * 7, "q": [0.0, 0.0]}))
     with pytest.raises(ValueError, match='"entries"'):
+        load_instance(path)
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"m": 2, "n": True, "entries": [1.0], "q": [0.0]}, '"n"'),
+        ({"m": True, "n": 1, "entries": [1.0], "q": [0.0]}, '"m"'),
+        ({"m": 2, "n": 1, "entries": [True], "q": [0.0]}, '"entries"'),
+        ({"m": 2, "n": 1, "entries": [1.0], "q": [False]}, '"q"'),
+    ],
+)
+def test_load_rejects_booleans(tmp_path, payload, field):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=field):
+        load_instance(path)
+
+
+def test_load_rejects_oversized_shape(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 10**9, "n": 3, "entries": [0.0], "q": [0.0] * 3}))
+    with pytest.raises(ValueError, match="too large"):
         load_instance(path)
 
 
