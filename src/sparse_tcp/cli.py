@@ -32,7 +32,7 @@ from .oracle import (
     verify_solution,
 )
 from .regpath import make_schedule, t_upper_for_nonzero
-from .solve import SolveOptions, solve_sparse_tcp
+from .solve import DivergedError, SolveOptions, solve_sparse_tcp
 from .tensors import (
     EXAMPLE_LABEL,
     DenseTensor,
@@ -406,6 +406,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DivergedError as exc:  # no start kept a finite objective: not converged
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,48 +48,68 @@ def phi_fb(a: float, b: float) -> float:
     return math.hypot(a, b) - (a + b)
 
 
+def _rows(u) -> np.ndarray:
+    """u as one vector of length n or a (k, n) batch of rows."""
+    u = np.asarray(u, dtype=float)
+    return u if u.ndim == 2 else u.reshape(-1)
+
+
 def residual_fb(inst: Instance, u) -> np.ndarray:
-    """Componentwise phi_fb(u_i, w_i) with w = A u^{m-1} + q."""
-    u = np.asarray(u, dtype=float).reshape(-1)
+    """Componentwise phi_fb(u_i, w_i) with w = A u^{m-1} + q, row by row for a batch."""
+    u = _rows(u)
     w = contract_m1(inst.tensor, u) + inst.q
     return np.hypot(u, w) - (u + w)
 
 
-def merit_fb(inst: Instance, u) -> float:
-    """Half squared norm of the FB residual; zero exactly at TCP solutions."""
+def merit_fb(inst: Instance, u):
+    """Half squared norm of the FB residual; zero exactly at TCP solutions.
+
+    A float for one vector, a length-k array for a (k, n) batch of rows.
+    """
     r = residual_fb(inst, u)
-    return 0.5 * float(r @ r)
+    return 0.5 * (r * r).sum(axis=-1)
+
+
+def _fb_parts(inst: Instance, u, cfg: FbGradConfig):
+    """(phi, v, z, M): the FB residual and the pieces of its generalized Jacobian.
+
+    The Jacobian element is diag(v) + diag(z) (m-1) M(u), with
+    v_i = u_i / r_i - 1 and z_i = w_i / r_i - 1 where r_i = ||(u_i, w_i)||,
+    and (v_i, z_i) = (rho - 1, xi - 1) where r_i = 0.  The tensor must be
+    semi-symmetric: then (m-1) M = (m-1) contract_m2 is the Jacobian of
+    u -> A u^{m-1}, and w = M u + q comes from the same stack.  A (k, n)
+    batch of rows gives (k, n) pieces and a (k, n, n) stack M.
+    """
+    u = _rows(u)
+    mat = contract_m2(inst.tensor, u)
+    w = (mat @ u[..., None])[..., 0] + inst.q
+    r = np.hypot(u, w)
+    phi = r - (u + w)
+    nondeg = r > 0.0
+    v = np.divide(u, r, out=np.full_like(u, cfg.rho), where=nondeg) - 1.0
+    z = np.divide(w, r, out=np.full_like(u, cfg.xi), where=nondeg) - 1.0
+    return phi, v, z, mat
 
 
 def grad_merit(inst: Instance, u, cfg: FbGradConfig = FbGradConfig()) -> np.ndarray:
-    """Gradient of merit_fb for a semi-symmetric tensor.
+    """Gradient of merit_fb for a semi-symmetric tensor, row by row for a batch.
 
-    Equals D_v(u) Phi + (m-1) M(u)^T D_z(u) Phi, where M = contract_m2 gives the
-    Jacobian rows of u -> A u^{m-1}, v_i = u_i / r_i - 1 and z_i = w_i / r_i - 1
-    with r_i = ||(u_i, w_i)||, and (v_i, z_i) = (rho - 1, xi - 1) where r_i = 0.
-    The Jacobian enters transposed: the chain rule applies row i of the Jacobian
-    against component i of D_z Phi.
+    Equals J^T Phi = D_v Phi + (m-1) M(u)^T D_z Phi for the generalized
+    Jacobian J of the FB residual (see _fb_parts).  The Jacobian enters
+    transposed: the chain rule applies row i of it against component i of Phi.
     """
     if not inst.tensor.semi_symmetric():
         raise ValueError(
             "grad_merit requires a semi-symmetric tensor; apply semi_symmetrize first"
         )
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = contract_m1(inst.tensor, u) + inst.q
-    r = np.hypot(u, w)
-    phi = r - (u + w)
-    nondeg = r > 0.0
-    r_safe = np.where(nondeg, r, 1.0)
-    v = np.where(nondeg, u / r_safe, cfg.rho) - 1.0
-    z = np.where(nondeg, w / r_safe, cfg.xi) - 1.0
-    jac = (inst.m - 1) * contract_m2(inst.tensor, u)
-    return v * phi + jac.T @ (z * phi)
+    phi, v, z, mat = _fb_parts(inst, u, cfg)
+    return v * phi + (inst.m - 1) * ((z * phi)[..., None, :] @ mat)[..., 0, :]
 
 
-def objective(inst: Instance, u, params: ObjectiveParams) -> float:
-    """merit_fb(u) + t * sum_i |u_i|^p."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    return merit_fb(inst, u) + params.t * float(np.sum(np.abs(u) ** params.p))
+def objective(inst: Instance, u, params: ObjectiveParams):
+    """merit_fb(u) + t * sum_i |u_i|^p; a length-k array for a (k, n) batch."""
+    u = _rows(u)
+    return merit_fb(inst, u) + params.t * (np.abs(u) ** params.p).sum(axis=-1)
 
 
 def grad_check(

@@ -3,20 +3,29 @@
 The nonsmooth term t * sum|u_i|^p is smoothed as t * sum (u_i^2 + eps^2)^(p/2)
 and eps is annealed geometrically down to EPS_MIN inside each local solve, so
 one descent loop covers every p in (0, 1).  The driver walks a decreasing
-schedule of regularization weights with warm starts, thresholds the final
-point by the closed-form magnitude floor L, and polishes the detected support
-with Newton's method on the reduced square system.
+schedule of regularization weights with warm starts, all starts as one
+batch, thresholds the final point by the closed-form magnitude floor L, and
+polishes the detected support with Newton's method on the reduced square
+system; a rejected polish is repaired by semismooth Newton on the full
+Fischer-Burmeister system.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .merit import FbGradConfig, ObjectiveParams, grad_merit, merit_fb, objective
-from .oracle import reduced_newton, verify_solution
+from .merit import (
+    FbGradConfig,
+    ObjectiveParams,
+    _fb_parts,
+    _rows,
+    grad_merit,
+    merit_fb,
+    objective,
+)
+from .oracle import _newton_steps, reduced_newton, verify_solution
 from .regpath import (
     BoundInputs,
     Schedule,
@@ -31,6 +40,24 @@ from .regpath import (
 from .tensors import Instance, ResidualReport, contract_m1, semi_symmetrize, tensor_norm
 
 EPS_MIN = 1e-10
+# Eps rounds of the warm-start t-steps.  Every t-step but the last only seeds
+# the next one, so it stops annealing at eps0 * eps_factor^12 (about 5e-8
+# with the defaults) instead of paying the rounds down to EPS_MIN; the final
+# t-step anneals fully, within opts.max_outer.
+WARM_MAX_OUTER = 13
+# Step lengths alpha * shrink^j, j = 0..69, one Armijo search of the descent tries.
+_ARMIJO_TRIES = 70
+# Cap on the Kronecker entries (rows times n^(m-1)) of one contraction over a
+# ladder of step lengths, about 0.5 MB: at desk sizes a whole ladder is one
+# call, while large tensors take it in blocks and stop at the first block
+# that settles every row, instead of evaluating rungs no row needs.
+_LADDER_ENTRIES = 2**16
+# FB Newton repair: iteration cap, residual target max|Phi|, step lengths
+# 1, 1/2, ..., 2^-39 per line search, and the magnitude snapped to exact 0.
+_FB_ITERS = 50
+_FB_TOL = 1e-14
+_FB_TRIES = 40
+_SNAP = 1e-12
 
 
 class DivergedError(RuntimeError):
@@ -134,15 +161,15 @@ class SolveReport:
         }
 
 
-def smooth_objective(inst: Instance, u, params: ObjectiveParams, eps: float) -> float:
-    """merit_fb(u) + t * sum (u_i^2 + eps^2)^(p/2).
+def smooth_objective(inst: Instance, u, params: ObjectiveParams, eps: float):
+    """merit_fb(u) + t * sum (u_i^2 + eps^2)^(p/2); a length-k array for a (k, n) batch.
 
     Upper-bounds the true objective and exceeds it by at most t * n * eps^p.
     """
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    reg = float(np.sum((u * u + eps * eps) ** (params.p / 2.0)))
+    u = _rows(u)
+    reg = ((u * u + eps * eps) ** (params.p / 2.0)).sum(axis=-1)
     return merit_fb(inst, u) + params.t * reg
 
 
@@ -153,10 +180,10 @@ def smooth_grad(
     eps: float,
     cfg: FbGradConfig = FbGradConfig(),
 ) -> np.ndarray:
-    """Gradient of smooth_objective: merit gradient plus t*p*u*(u^2+eps^2)^(p/2-1)."""
+    """Gradient of smooth_objective: merit gradient plus t*p*u*(u^2+eps^2)^(p/2-1), row-wise."""
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    u = np.asarray(u, dtype=float).reshape(-1)
+    u = _rows(u)
     reg_grad = params.t * params.p * u * (u * u + eps * eps) ** (params.p / 2.0 - 1.0)
     return grad_merit(inst, u, cfg) + reg_grad
 
@@ -172,68 +199,130 @@ def _eps_rounds(opts: SolveOptions) -> list[float]:
     return rounds
 
 
-def _descend(inst, u0, params, opts, trace=None):
-    """Annealed smoothing descent at fixed t.
+def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
+    """Backtracking Armijo search along u - step * d for every row at once.
 
-    Returns (u, f_history_per_round, max_iterate_norm, grad_tol_hit).  The
-    search direction is the gradient scaled by the diagonal curvature of the
-    smoothing term, 1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the stiff
-    near-zero components without giving up the Armijo descent guarantee.  The
-    smoothed objective is nonincreasing across accepted steps at fixed eps and
-    can only drop when eps shrinks, so the true objective never rises by more
-    than the smoothing slack t * n * eps^p between accepted iterates.
+    Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
+    fun value is at most f_r - c * step * slope_r (a NaN value never is): the
+    step a backtracking loop would accept.  The full steps are evaluated in
+    one call; the rows that reject theirs evaluate the ladder of shorter steps
+    in blocks of at most _LADDER_ENTRIES Kronecker entries, stopping after the
+    block in which every row found its step.  Returns (u_new, f_new, step,
+    found); rows with found False accepted no step and hold meaningless values.
     """
-    u = np.asarray(u0, dtype=float).copy()
-    max_norm = float(np.linalg.norm(u))
+    u_new = u - alpha[:, None] * d
+    f_new = fun(u_new)
+    found = f_new <= f - c * alpha * slope
+    if found.all():
+        return u_new, f_new, alpha, found
+    step = alpha.copy()
+    pending = np.flatnonzero(~found)
+    per_call = max(1, _LADDER_ENTRIES // inst.n ** (inst.m - 1))
+    j = 1
+    while pending.size and j < tries:
+        span = min(max(1, per_call // pending.size), tries - j)
+        steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
+        cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
+        f_cand = fun(cand.reshape(-1, u.shape[1])).reshape(steps.shape)
+        ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
+        rung = np.argmax(ok, axis=1)  # first accepted step of each row
+        hit = ok[np.arange(pending.size), rung]
+        rows, rung = pending[hit], rung[hit]
+        u_new[rows] = cand[hit, rung]
+        f_new[rows] = f_cand[hit, rung]
+        step[rows] = steps[hit, rung]
+        found[rows] = True
+        pending = pending[~hit]
+        j += span
+    return u_new, f_new, step, found
+
+
+def _descend(inst, u0, params, opts, traces=None):
+    """Annealed smoothing descent at fixed t for a (k, n) block of starts.
+
+    Returns (u, f_rounds, max_norm, finite): the final rows, the true
+    objective of every row after each eps round as a (rounds, k) array, each
+    row's largest iterate norm, and a mask of the rows whose smoothed
+    objective stayed finite.  A row whose objective turns non-finite at the
+    start of a round stops there and is NaN in f_rounds from that round on.
+
+    Every row walks the same eps rounds; within a round each row keeps its own
+    Barzilai-Borwein step, Armijo test and exit (gradient below grad_tol, no
+    step accepted, a step below machine noise, or max_inner iterations), and
+    the round ends when every row has exited.  The search direction is the
+    gradient scaled by the diagonal curvature of the smoothing term,
+    1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the stiff near-zero
+    components without giving up the Armijo descent guarantee.  The smoothed
+    objective is nonincreasing across accepted steps at fixed eps and can only
+    drop when eps shrinks, so the true objective never rises by more than the
+    smoothing slack t * n * eps^p between accepted iterates.  With traces, a
+    list of k lists, row r's true objective after every accepted step is
+    appended to traces[r] as (eps, value).
+    """
+    u = np.array(u0, dtype=float)
+    k = len(u)
+    norm2 = np.einsum("ij,ij->i", u, u)  # largest squared iterate norm per row
+    finite = np.ones(k, dtype=bool)
+    tp, ex = params.t * params.p, params.p / 2.0 - 1.0
     f_rounds = []
-    hit = False
     for eps in _eps_rounds(opts):
-        fs = smooth_objective(inst, u, params, eps)
-        if not math.isfinite(fs):
-            raise DivergedError(f"non-finite smoothed objective at iterate {u!r}", iterate=u)
-        prev_u = None
-        prev_d = None
-        alpha_prev = None
-        hit = False
+
+        def fun(x):
+            return smooth_objective(inst, x, params, eps)
+
+        # The rows still iterating in this round, compacted: row i of x, f,
+        # and the previous step (px, pd, pa) belongs to start idx[i].
+        idx = np.flatnonzero(finite)
+        f = fun(u[idx])
+        finite[idx[~np.isfinite(f)]] = False
+        keep = finite[idx]
+        idx, x, f = idx[keep], u[idx[keep]], f[keep]
+        px = None
         for _ in range(opts.max_inner):
-            g = smooth_grad(inst, u, params, eps, opts.grad_cfg)
-            gn = float(np.linalg.norm(g))
-            if gn <= opts.grad_tol:
-                hit = True
+            if not idx.size:
                 break
-            scale = 1.0 + params.t * params.p * (u * u + eps * eps) ** (params.p / 2.0 - 1.0)
-            d = g / scale
-            slope = float(g @ d)  # positive: d is a descent direction
-            if prev_d is not None:
-                s = u - prev_u
-                y = d - prev_d
-                sy = float(s @ y)
-                alpha = float(s @ s) / sy if sy > 1e-300 else alpha_prev
-                alpha = min(alpha, 4.0 * alpha_prev)
-            else:
-                alpha = 1.0
-            alpha = min(max(alpha, 1e-18), 1e4)
-            accepted = False
-            for _ in range(70):
-                u_new = u - alpha * d
-                f_new = smooth_objective(inst, u_new, params, eps)
-                if math.isfinite(f_new) and f_new <= fs - opts.armijo_c * alpha * slope:
-                    accepted = True
+            g = smooth_grad(inst, x, params, eps, opts.grad_cfg)
+            keep = np.einsum("ij,ij->i", g, g) > opts.grad_tol**2
+            if not keep.all():
+                u[idx[~keep]] = x[~keep]
+                idx, x, f, g = idx[keep], x[keep], f[keep], g[keep]
+                if px is not None:
+                    px, pd, pa = px[keep], pd[keep], pa[keep]
+                if not idx.size:
                     break
-                alpha *= opts.armijo_shrink
-            if not accepted:
-                break
-            alpha_prev = alpha
-            prev_u, prev_d = u, d
-            step_inf = alpha * float(np.max(np.abs(d)))
-            u, fs = u_new, f_new
-            max_norm = max(max_norm, float(np.linalg.norm(u)))
-            if trace is not None:
-                trace.append((eps, objective(inst, u, params)))
-            if step_inf < 1e-15 * (1.0 + float(np.max(np.abs(u)))):
-                break  # progress below machine noise at this eps
-        f_rounds.append(objective(inst, u, params))
-    return u, f_rounds, max_norm, hit
+            d = g / (1.0 + tp * (x * x + eps * eps) ** ex)
+            slope = np.einsum("ij,ij->i", g, d)  # positive: d is a descent direction
+            if px is None:
+                alpha = np.ones(idx.size)
+            else:
+                s, y = x - px, d - pd
+                sy = np.einsum("ij,ij->i", s, y)
+                ss = np.einsum("ij,ij->i", s, s)
+                alpha = np.divide(ss, sy, out=pa.copy(), where=sy > 1e-300)
+                alpha = np.minimum(np.minimum(alpha, 4.0 * pa), 1e4)
+            alpha = np.maximum(alpha, 1e-18)
+            x_new, f_new, step, found = _armijo(
+                inst, fun, x, f, d, slope, alpha, opts.armijo_c, opts.armijo_shrink, _ARMIJO_TRIES
+            )
+            px, pd, pa = x, d, step
+            x = np.where(found[:, None], x_new, x)
+            f = np.where(found, f_new, f)
+            rows = idx[found]
+            norm2[rows] = np.maximum(norm2[rows], np.einsum("ij,ij->i", x[found], x[found]))
+            if traces is not None:
+                for r, val in zip(rows, objective(inst, x[found], params)):
+                    traces[r].append((eps, float(val)))
+            # a row exits when no step was accepted or its step fell below machine noise
+            keep = found & (step * np.abs(d).max(axis=1) >= 1e-15 * (1.0 + np.abs(x).max(axis=1)))
+            if not keep.all():
+                u[idx[~keep]] = x[~keep]
+                idx, x, f = idx[keep], x[keep], f[keep]
+                px, pd, pa = px[keep], pd[keep], pa[keep]
+        u[idx] = x
+        f_round = np.full(k, np.nan)
+        f_round[finite] = objective(inst, u[finite], params)
+        f_rounds.append(f_round)
+    return u, np.array(f_rounds), np.sqrt(norm2), finite
 
 
 def _support_tol(L: float | None) -> float:
@@ -241,11 +330,15 @@ def _support_tol(L: float | None) -> float:
     return max(L / 2.0, 1e-9) if L else 1e-9
 
 
+def _check(inst, u, opts, L):
+    """(residuals, converged): verify_solution at residual_tol plus an FB norm within it."""
+    residuals, passed = verify_solution(inst, u, opts.residual_tol, tol_zero=_support_tol(L))
+    return residuals, passed and residuals.fb_norm <= opts.residual_tol
+
+
 def _make_report(inst, u, opts, t_final, f_hist, t_hist, lp_hist, L, L_stmt, f0, mu, B_hat,
                  discrepancies, per_start, trace):
-    tol_zero = _support_tol(L)
-    residuals, passed = verify_solution(inst, u, opts.residual_tol, tol_zero=tol_zero)
-    converged = passed and residuals.fb_norm <= opts.residual_tol
+    residuals, converged = _check(inst, u, opts, L)
     return SolveReport(
         u_final=u,
         residuals=residuals,
@@ -255,7 +348,7 @@ def _make_report(inst, u, opts, t_final, f_hist, t_hist, lp_hist, L, L_stmt, f0,
         t_history=t_hist,
         converged=converged,
         discrepancies=discrepancies,
-        card=card(u, tol_zero),
+        card=card(u, _support_tol(L)),
         lp_history=lp_hist,
         L_statement=L_stmt,
         f0_used=f0,
@@ -275,19 +368,16 @@ def minimize_local(inst: Instance, u0, opts: SolveOptions) -> SolveReport:
             "minimize_local requires a semi-symmetric tensor; apply semi_symmetrize first"
         )
     u0 = np.asarray(u0, dtype=float).reshape(-1)
-    trace: list[tuple[float, float]] = []
-    f0 = objective(inst, u0, opts.params)
-    u, f_rounds, max_norm, _ = _descend(inst, u0, opts.params, opts, trace)
-    B_hat = max(1.0, max_norm)
-    mu = compute_Bbar(inst.n, opts.params.p, B_hat)
-    L = L_stmt = None
-    if f0 > 0.0:
-        b = BoundInputs(opts.params.t, opts.params.p, inst.m, tensor_norm(inst.tensor), mu, f0)
-        L = lower_bound_L(b)
-        L_stmt = lower_bound_L(b, statement_form=True)
+    traces: list[list[tuple[float, float]]] = [[]]
+    f0 = float(objective(inst, u0, opts.params))
+    u, f_rounds, max_norm, finite = _descend(inst, u0[None], opts.params, opts, traces)
+    u = u[0]
+    if not finite[0]:
+        raise DivergedError(f"non-finite smoothed objective at iterate {u!r}", iterate=u)
+    L, L_stmt, mu, B_hat = _bounds(inst, opts.params.p, opts.params.t, f0, max_norm[0])
     return _make_report(
-        inst, u, opts, opts.params.t, f_rounds, [opts.params.t],
-        [lp_norm_p(u, opts.params.p)], L, L_stmt, f0, mu, B_hat, [], [], trace,
+        inst, u, opts, opts.params.t, [float(f) for f in f_rounds[:, 0]], [opts.params.t],
+        [lp_norm_p(u, opts.params.p)], L, L_stmt, f0, mu, B_hat, [], [], traces[0],
     )
 
 
@@ -336,14 +426,70 @@ def _initial_point(qt: np.ndarray, rng: np.random.Generator, start: int, m: int)
     return base + rng.uniform(0.0, scale, qt.size)
 
 
+def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
+    """Damped semismooth Newton on the full system Phi_FB(u) = 0, row by row.
+
+    x0 is a (k, n) block of seeds advanced together.  The step solves
+    J d = -Phi with J the generalized Jacobian of _fb_parts (its degenerate
+    rows use opts.grad_cfg), and an Armijo search on ||Phi||^2 damps it over
+    the lengths 1, 1/2, ..., 2^-39.  Each row stops on its own once
+    max|Phi| <= _FB_TOL, on a singular Jacobian or non-finite step, or when
+    no step length is accepted.  Entries with |x_i| <= _SNAP are set to
+    exactly 0 in the returned rows; the caller verifies them.
+    """
+    x = np.array(x0, dtype=float)
+    act = np.arange(len(x))  # rows still iterating
+    diag = np.arange(inst.n)
+
+    def merit(y):
+        return merit_fb(inst, y)
+
+    for _ in range(_FB_ITERS):
+        if not act.size:
+            break
+        phi, v, z, mat = _fb_parts(inst, x[act], opts.grad_cfg)
+        jac = (inst.m - 1) * z[..., None] * mat
+        jac[:, diag, diag] += v
+        step = _newton_steps(jac, phi)
+        moving = (np.max(np.abs(phi), axis=1) > _FB_TOL) & np.all(np.isfinite(step), axis=1)
+        act, phi, step = act[moving], phi[moving], step[moving]
+        psi = 0.5 * np.sum(phi * phi, axis=1)
+        # along -step the slope of psi is -||Phi||^2 = -2 psi
+        x_new, _, _, found = _armijo(
+            inst, merit, x[act], psi, step, 2.0 * psi, np.ones(act.size),
+            opts.armijo_c, 0.5, _FB_TRIES,
+        )
+        act = act[found]
+        x[act] = x_new[found]
+    x[np.abs(x) <= _SNAP] = 0.0
+    return x
+
+
+def _bounds(inst, p, t, f0, max_norm):
+    """(L, L_stmt, mu, B_hat) of one start: its floors at weight t from f0 and its largest norm.
+
+    Both floors are None when f0 is 0, where the start began at a global minimum.
+    """
+    B_hat = max(1.0, float(max_norm))
+    mu = compute_Bbar(inst.n, p, B_hat)
+    if not f0 > 0.0:
+        return None, None, mu, B_hat
+    b = BoundInputs(t, p, inst.m, tensor_norm(inst.tensor), mu, float(f0))
+    return lower_bound_L(b), lower_bound_L(b, statement_form=True), mu, B_hat
+
+
 def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
     """Continuation driver: descend along the t-schedule, threshold, polish.
 
-    Each start walks the full schedule with warm starts, computes the
-    magnitude floor L at the final t from the norms it actually observed,
-    thresholds, and (optionally) polishes the detected support.  The best
-    start wins by final objective, ties broken by smaller cardinality and
-    then lexicographic order.
+    The starts advance together as one block along the full schedule with
+    warm starts.  Each start computes the magnitude floor L at the final t
+    from the norms it actually observed, thresholds, and (optionally)
+    polishes the detected support.  A start whose polish is rejected is
+    repaired by semismooth FB Newton on the full system, seeded from
+    max(u, 0) and from |u|; the best verified seed replaces the thresholded
+    point.  A start whose objective turns non-finite is dropped with a note.
+    The best remaining start wins by final objective, ties broken by smaller
+    cardinality and then lexicographic order.
     """
     opts = opts or SolveOptions()
     if not inst.tensor.semi_symmetric():
@@ -353,89 +499,96 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     t_values = opts.schedule.values()
     t_final = t_values[-1]
     p = opts.params.p
-    inner_opts = replace(opts, max_outer=min(opts.max_outer, 13))
+    final_params = ObjectiveParams(t=t_final, p=p)
+    warm_opts = replace(opts, max_outer=min(opts.max_outer, WARM_MAX_OUTER))
 
-    runs = []
-    for start in range(opts.starts):
-        u = _initial_point(qt, rng, start, inst.m)
-        trace: list[tuple[float, float]] = []
-        f_hist: list[float] = []
-        lp_hist: list[float] = []
-        notes: list[str] = []
-        max_norm = max(1.0, float(np.linalg.norm(u)))
-        f0_final = None
-        for k, t in enumerate(t_values):
-            params = ObjectiveParams(t=t, p=p)
-            last = k == len(t_values) - 1
-            if last:
-                f0_final = objective(inst, u, params)
-            u, f_rounds, mx, _ = _descend(
-                inst, u, params, opts if last else inner_opts, trace
-            )
-            max_norm = max(max_norm, mx)
-            f_hist.append(f_rounds[-1])
-            lp_hist.append(lp_norm_p(u, p))
-
-        B_hat = max(1.0, max_norm)
-        mu = compute_Bbar(inst.n, p, B_hat)
-        L = L_stmt = None
-        if f0_final > 0.0:
-            b = BoundInputs(t_final, p, inst.m, tensor_norm(inst.tensor), mu, f0_final)
-            L = lower_bound_L(b)
-            L_stmt = lower_bound_L(b, statement_form=True)
-            u = threshold_by_L(u, L)
-        support = [int(i) for i in np.flatnonzero(np.abs(u) > _support_tol(L))]
-        if opts.polish and support:
-            u_pol, flag = polish_on_support(inst, u, support)
-            if flag == "ok":
-                u = u_pol
-            else:
-                notes.append(f"start {start}: polish rejected ({flag})")
-        f_final = objective(inst, u, ObjectiveParams(t=t_final, p=p))
-        runs.append(
-            {
-                "start": start,
-                "u": u,
-                "f_final": f_final,
-                "card": card(u, _support_tol(L)),
-                "f_hist": f_hist,
-                "lp_hist": lp_hist,
-                "L": L,
-                "L_stmt": L_stmt,
-                "f0": f0_final,
-                "mu": mu,
-                "B_hat": B_hat,
-                "notes": notes,
-                "trace": trace,
-            }
+    k = opts.starts
+    u = np.array([_initial_point(qt, rng, start, inst.m) for start in range(k)])
+    max_norm = np.maximum(1.0, np.linalg.norm(u, axis=1))
+    f_hist = np.full((len(t_values), k), np.nan)
+    lp_hist = np.full((len(t_values), k), np.nan)
+    f0 = np.full(k, np.nan)
+    live = np.ones(k, dtype=bool)
+    notes: list[list[str]] = [[] for _ in range(k)]
+    for step, t in enumerate(t_values):
+        params = ObjectiveParams(t=t, p=p)
+        last = step == len(t_values) - 1
+        rows = np.flatnonzero(live)
+        if last:
+            f0[rows] = objective(inst, u[rows], params)
+        u[rows], f_rounds, mx, finite = _descend(
+            inst, u[rows], params, opts if last else warm_opts
         )
+        max_norm[rows] = np.maximum(max_norm[rows], mx)
+        f_hist[step, rows] = f_rounds[-1]
+        lp_hist[step, rows] = [lp_norm_p(x, p) for x in u[rows]]
+        for r in rows[~finite]:
+            notes[r].append(f"start {r}: diverged at t={t!r} (non-finite objective), dropped")
+        live[rows[~finite]] = False
+    if not live.any():
+        raise DivergedError("every start diverged (non-finite objective)", iterate=u)
 
-    best = min(runs, key=lambda r: (r["f_final"], r["card"], tuple(r["u"])))
+    bounds = {}  # (L, L_stmt, mu, B_hat) of every live start
+    repair = []  # starts whose polish was rejected
+    for r in np.flatnonzero(live):
+        bounds[r] = _bounds(inst, p, t_final, f0[r], max_norm[r])
+        L = bounds[r][0]
+        if L is not None:
+            u[r] = threshold_by_L(u[r], L)
+        support = [int(i) for i in np.flatnonzero(np.abs(u[r]) > _support_tol(L))]
+        if opts.polish and support:
+            u_pol, flag = polish_on_support(inst, u[r], support)
+            if flag == "ok":
+                u[r] = u_pol
+            else:
+                notes[r].append(f"start {r}: polish rejected ({flag})")
+                repair.append(r)
+    if repair:
+        seeds = np.concatenate([np.maximum(u[repair], 0.0), np.abs(u[repair])])
+        seeds = _fb_newton(inst, seeds, opts)
+        f_seeds = objective(inst, seeds, final_params)
+        for i, r in enumerate(repair):
+            L = bounds[r][0]
+            verified = [
+                (f_seeds[j], card(seeds[j], _support_tol(L)), tuple(seeds[j]), j)
+                for j in (i, i + len(repair))
+                if _check(inst, seeds[j], opts, L)[1]
+            ]
+            if verified:
+                u[r] = seeds[min(verified)[3]]
+                notes[r].append(f"start {r}: repaired by FB Newton")
+            else:
+                notes[r].append(f"start {r}: FB Newton repair failed")
+
+    f_final = np.full(k, np.nan)
+    f_final[live] = objective(inst, u[live], final_params)
+    cards = {r: card(u[r], _support_tol(bounds[r][0])) for r in bounds}
     per_start = [
         {
-            "start": r["start"],
-            "u_final": [float(x) for x in r["u"]],
-            "f_final": r["f_final"],
-            "card": r["card"],
-            "notes": r["notes"],
+            "start": r,
+            "u_final": [float(x) for x in u[r]],
+            "f_final": float(f_final[r]) if live[r] else None,
+            "card": cards.get(r),
+            "notes": notes[r],
         }
-        for r in runs
+        for r in range(k)
     ]
-    discrepancies = [note for r in runs for note in r["notes"]]
+    best = min(bounds, key=lambda r: (f_final[r], cards[r], tuple(u[r])))
+    L, L_stmt, mu, B_hat = bounds[best]
     return _make_report(
         inst,
-        best["u"],
+        u[best].copy(),
         opts,
         t_final,
-        best["f_hist"],
+        [float(f) for f in f_hist[:, best]],
         list(t_values),
-        best["lp_hist"],
-        best["L"],
-        best["L_stmt"],
-        best["f0"],
-        best["mu"],
-        best["B_hat"],
-        discrepancies,
+        [float(x) for x in lp_hist[:, best]],
+        L,
+        L_stmt,
+        float(f0[best]),
+        mu,
+        B_hat,
+        [note for entry in notes for note in entry],
         per_start,
-        best["trace"],
+        [],
     )

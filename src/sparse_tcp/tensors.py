@@ -260,6 +260,27 @@ def example_instance() -> Instance:
     )
 
 
+def _distinct_permutations(combo: tuple[int, ...]):
+    """Every distinct ordering of a nondecreasing tuple, in lexicographic order.
+
+    Steps to the next permutation of the multiset directly, so a tuple with
+    repeated entries costs one step per distinct ordering, never (len)! steps.
+    """
+    a = list(combo)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
 def gen_z_feasible(
     n: int,
     m: int,
@@ -308,7 +329,7 @@ def gen_z_feasible(
                 continue  # keep planted rows diagonal inside the support
             if rng.uniform() < density:
                 val = -rng.uniform(0.0, off_scale)
-                for perm in set(itertools.permutations(combo)):
+                for perm in _distinct_permutations(combo):
                     arr[(i, *perm)] = val
     A = DenseTensor(m, n, arr.reshape(-1))
     A._semi_symmetric = True

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,16 @@ def test_gen_oversized_tensor_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_high_order_z_feasible_is_fast(tmp_path):
+    # each drawn multiset of 13 trailing indices has 13! (6.2e9) orderings, but
+    # over n = 2 there are only 2^13 = 8,192 distinct trailing multi-indices
+    out = tmp_path / "high.json"
+    start = time.perf_counter()
+    assert run(["gen", "--kind", "z_feasible", "--n", 2, "--m", 14, "--card", 1, "-o", out]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert load_instance(out).m == 14
+
+
 def test_solve_planted(tmp_path):
     inst_path = tmp_path / "inst.json"
     report_path = tmp_path / "report.json"
@@ -101,6 +112,20 @@ def test_solve_zero_regime_exit_code(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["result"]["u_final"] == [0.0, 0.0]
     assert code == 3  # 0 does not solve the TCP itself here
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_every_start_diverging_exits_3(tmp_path, monkeypatch, capsys):
+    import sparse_tcp.solve
+
+    monkeypatch.setattr(
+        sparse_tcp.solve, "_initial_point", lambda qt, rng, start, m: np.full(qt.size, 1e200)
+    )
+    inst_path = tmp_path / "inst.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    assert run(["solve", inst_path, "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "every start diverged" in err
 
 
 def test_solve_missing_file(tmp_path):

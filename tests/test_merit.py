@@ -23,6 +23,7 @@ from sparse_tcp import (
     verify_solution,
 )
 from sparse_tcp.oracle import OracleOptions
+from sparse_tcp.solve import smooth_grad, smooth_objective
 from sparse_tcp.tensors import contract_m1, example_instance, gen_instance
 
 GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -148,6 +149,32 @@ def test_objective_params_validation():
 def test_grad_merit_zero_at_solution():
     inst = Instance(identity_tensor(3, 3), -np.ones(3))
     np.testing.assert_array_equal(grad_merit(inst, np.ones(3)), np.zeros(3))
+
+
+def test_batched_rows_match_one_vector_calls():
+    rng = np.random.default_rng(41)
+    params = ObjectiveParams(t=0.3, p=0.5)
+    raw = gen_instance("random", 3, 4, 6)
+    instances = [
+        gen_z_feasible(4, 3, 2)[0],
+        Instance(semi_symmetrize(raw.tensor), raw.q),
+        Instance(semi_symmetrize(gen_instance("random", 3, 2, 1).tensor), np.ones(3)),
+    ]
+    for inst in instances:
+        rows = rng.normal(size=(6, inst.n))
+        rows[0] = 0.0
+        fns = (
+            lambda u: merit_fb(inst, u),
+            lambda u: objective(inst, u, params),
+            lambda u: grad_merit(inst, u, FbGradConfig(0.6, 0.8)),
+            lambda u: smooth_objective(inst, u, params, 1e-3),
+            lambda u: smooth_grad(inst, u, params, 1e-3),
+        )
+        for fn in fns:
+            batch = fn(rows)
+            single = np.array([fn(u) for u in rows])
+            assert batch.shape == single.shape
+            np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
 def test_grad_merit_requires_semi_symmetric():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+import sparse_tcp.solve as solve_mod
 from sparse_tcp import (
     BoundInputs,
     DivergedError,
@@ -30,7 +34,9 @@ from sparse_tcp import (
     solve_sparse_tcp,
     t_upper_for_nonzero,
     tensor_norm,
+    verify_solution,
 )
+from sparse_tcp.solve import _descend, _eps_rounds, _fb_newton
 
 
 def diag_instance(q):
@@ -111,6 +117,70 @@ def test_smooth_grad_linear_regime_large_eps():
     reg = smooth_grad(inst, u, params, eps) - grad_merit(inst, u)
     expected = params.t * params.p * eps ** (params.p - 2.0) * u
     np.testing.assert_allclose(reg, expected, rtol=1e-6)
+
+
+# -- batched descent ----------------------------------------------------------------
+
+
+def descend_one_start(inst, u, params, opts):
+    """The descent for one start as a plain loop: the reference for the batch."""
+    u = np.asarray(u, dtype=float).copy()
+    f_rounds = []
+    for eps in _eps_rounds(opts):
+        fs = smooth_objective(inst, u, params, eps)
+        prev_u = prev_d = alpha_prev = None
+        for _ in range(opts.max_inner):
+            g = smooth_grad(inst, u, params, eps, opts.grad_cfg)
+            if float(np.linalg.norm(g)) <= opts.grad_tol:
+                break
+            d = g / (1.0 + params.t * params.p * (u * u + eps * eps) ** (params.p / 2.0 - 1.0))
+            slope = float(g @ d)
+            if prev_d is not None:
+                s, y = u - prev_u, d - prev_d
+                sy = float(s @ y)
+                alpha = float(s @ s) / sy if sy > 1e-300 else alpha_prev
+                alpha = min(alpha, 4.0 * alpha_prev)
+            else:
+                alpha = 1.0
+            alpha = min(max(alpha, 1e-18), 1e4)
+            for _ in range(70):
+                u_new = u - alpha * d
+                f_new = smooth_objective(inst, u_new, params, eps)
+                if math.isfinite(f_new) and f_new <= fs - opts.armijo_c * alpha * slope:
+                    break
+                alpha *= opts.armijo_shrink
+            else:
+                break
+            alpha_prev, prev_u, prev_d = alpha, u, d
+            step_inf = alpha * float(np.max(np.abs(d)))
+            u, fs = u_new, f_new
+            if step_inf < 1e-15 * (1.0 + float(np.max(np.abs(u)))):
+                break
+        f_rounds.append(float(objective(inst, u, params)))
+    return u, f_rounds
+
+
+@pytest.mark.parametrize("ladder_entries", [solve_mod._LADDER_ENTRIES, 1])
+def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
+    # rows of a batch follow their own BB steps, Armijo tests (about one in
+    # three steps backtracks here) and exits.  The kernels round batches
+    # differently in the last bits and BB steps amplify that with every
+    # iteration, so the runs are short and the tolerance is a few ulps of it
+    monkeypatch.setattr(solve_mod, "_LADDER_ENTRIES", ladder_entries)
+    rng = np.random.default_rng(5)
+    opts = SolveOptions(max_outer=3, max_inner=8)
+    params = ObjectiveParams(t=0.05, p=0.5)
+    for n, seed in ((3, 4), (4, 11), (5, 2)):
+        inst, _, _ = gen_z_feasible(n, 3, seed)
+        u0 = rng.uniform(0.1, 1.5, (4, n))
+        u0[0] = 0.0  # the smoothed gradient at 0 is pure merit gradient
+        u, f_rounds, max_norm, finite = _descend(inst, u0, params, opts)
+        assert finite.all() and f_rounds.shape == (3, 4)
+        for r in range(4):
+            ref_u, ref_f = descend_one_start(inst, u0[r], params, opts)
+            np.testing.assert_allclose(u[r], ref_u, rtol=1e-9, atol=1e-11)
+            np.testing.assert_allclose(f_rounds[:, r], ref_f, rtol=1e-9, atol=1e-12)
+            assert max_norm[r] >= max(np.linalg.norm(u0[r]), np.linalg.norm(u[r])) - 1e-15
 
 
 # -- minimize_local ---------------------------------------------------------------
@@ -325,6 +395,76 @@ def test_solve_example_instance_reports_without_solution():
     assert not report.converged
     assert len(report.t_history) == 12
     assert report.residuals.fb_norm > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_start_is_dropped_and_the_others_report(monkeypatch):
+    plain = solve_mod._initial_point
+
+    def one_start_overflows(qt, rng, start, m):
+        u = plain(qt, rng, start, m)
+        return np.full_like(u, 1e200) if start == 1 else u
+
+    monkeypatch.setattr(solve_mod, "_initial_point", one_start_overflows)
+    inst, v, _ = gen_z_feasible(4, 3, 7, card=1)
+    report = solve_sparse_tcp(inst, SolveOptions())
+    assert [entry["start"] for entry in report.per_start] == [0, 1, 2, 3, 4]
+    dropped = report.per_start[1]
+    assert dropped["f_final"] is None and dropped["card"] is None
+    assert any("diverged" in note for note in dropped["notes"])
+    assert any("diverged" in note for note in report.discrepancies)
+    for entry in report.per_start[:1] + report.per_start[2:]:
+        assert entry["f_final"] is not None
+    assert report.converged
+    np.testing.assert_allclose(report.u_final, v, atol=1e-8)
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_start_diverging_raises(monkeypatch):
+    monkeypatch.setattr(
+        solve_mod, "_initial_point", lambda qt, rng, start, m: np.full(qt.size, 1e200)
+    )
+    with pytest.raises(DivergedError, match="every start"):
+        solve_sparse_tcp(diag_instance([-1.0, -1.0]), SolveOptions(starts=2))
+
+
+# (n, seed) of planted instances where every start's support polish used to
+# be rejected; the card follows the benchmark's rule for instance seed % 1000
+FORMER_FAILURES = ((5, 2041), (5, 2077), (5, 5059), (5, 6119), (5, 10005), (4, 8088))
+
+
+@pytest.mark.parametrize("n, seed", FORMER_FAILURES)
+def test_fb_newton_repair_solves_former_failures(n, seed):
+    inst, v, _ = gen_z_feasible(n, 3, seed, card=(1, 2)[seed % 1000 // 3 % 2])
+    report = solve_sparse_tcp(inst, SolveOptions())
+    assert report.converged
+    _, passed = verify_solution(inst, report.u_final, 1e-6)
+    assert passed
+    assert any("repaired by FB Newton" in note for note in report.discrepancies)
+    if seed != 8088:  # there the best start repairs to a card-3 solution
+        assert report.card == 2
+        np.testing.assert_allclose(report.u_final, v, atol=1e-8)
+
+
+def test_fb_newton_reaches_plant_and_snaps_zeros():
+    inst, v, support = gen_z_feasible(5, 3, 5059, card=2)
+    rng = np.random.default_rng(3)
+    x0 = np.maximum(v + rng.uniform(-0.05, 0.05, (3, 5)), 0.0)
+    x0[1, [i for i in range(5) if i not in support][0]] = 0.3  # a wrong extra entry
+    x = _fb_newton(inst, x0, SolveOptions())
+    for row in x:
+        np.testing.assert_allclose(row, v, atol=1e-12)
+        assert np.all(row[v == 0.0] == 0.0)
+
+
+def test_fb_newton_degenerate_pair_uses_grad_cfg():
+    # at u = (1, 0) with q_2 = 0 the second pair is (u_2, w_2) = (0, 0); the
+    # default (rho, xi) = (0, 0) gives the Jacobian row -e_2, a regular step
+    inst = diag_instance([-1.0, 0.0])
+    x = _fb_newton(inst, np.array([[0.5, 0.0]]), SolveOptions())
+    np.testing.assert_allclose(x[0], [1.0, 0.0], atol=1e-14)
+    assert x[0, 1] == 0.0
 
 
 def test_solve_multistart_tie_break():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -25,7 +26,12 @@ from sparse_tcp import (
     semi_symmetrize,
     tensor_norm,
 )
-from sparse_tcp.tensors import MAX_TENSOR_ENTRIES, _check_size, example_instance
+from sparse_tcp.tensors import (
+    MAX_TENSOR_ENTRIES,
+    _check_size,
+    _distinct_permutations,
+    example_instance,
+)
 
 
 # -- independent naive references (pure loops over multi-indices) -------------
@@ -419,3 +425,27 @@ def test_z_feasible_always_z():
     for seed in range(20):
         inst = gen_instance("z_feasible", 3 + seed % 3, 3, seed)
         assert is_z_tensor(inst.tensor)
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [(0,), (1, 1), (0, 1, 2), (0, 0, 1, 1), (0, 1, 1, 1, 2), (2, 2, 2, 2, 2), (0, 0, 1, 2, 2, 3)],
+)
+def test_distinct_permutations_match_the_set_of_all_orderings(combo):
+    got = list(_distinct_permutations(combo))
+    assert got == sorted(set(itertools.permutations(combo)))
+
+
+def test_gen_z_feasible_instances_unchanged():
+    # digest of the generated tensors, q, plants and supports of the acceptance
+    # suite, the first 12 solve-planted benchmark instances of seed 1, and
+    # orders m = 4..6, as generated with set(itertools.permutations(...))
+    h = hashlib.sha256()
+    args = [((3, 4, 5)[s % 3], 3, s, None) for s in range(50)]
+    args += [((3, 4, 5)[i % 3], 3, 1000 + i, (1, 2)[i // 3 % 2]) for i in range(12)]
+    args += [(n, m, s, None) for n, m in ((2, 6), (3, 5), (4, 4)) for s in range(4)]
+    for n, m, s, card in args:
+        inst, v, support = gen_z_feasible(n, m, s, card=card)
+        for arr in (inst.tensor.entries, inst.q, v, np.asarray(support, dtype=np.int64)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == "b34a0a818fafdc8bca840f122e02a1da04531f0e50ec28bf3c7d9bbe2341ea4d"
