@@ -38,8 +38,6 @@ from .regpath import (
     gamma_k,
     lower_bound_L,
     lp_norm_p,
-    make_schedule,
-    next_t,
     q_tilde,
     t_upper_for_nonzero,
     threshold_by_L,

@@ -1,8 +1,8 @@
-"""Command-line front end: gen | solve | oracle | verify | example | bench.
+"""Command-line front end: gen | solve | oracle | verify | example.
 
 Reports are machine-first JSON (schema "sparse-tcp/1") with the full resolved
-option set embedded; bench emits plot-ready CSV.  Identical arguments and seed
-produce byte-identical reports when --no-timestamp is given.
+option set embedded.  Identical arguments and seed produce byte-identical
+reports when --no-timestamp is given.
 
 Exit codes: 0 success / pass, 2 bad arguments or guard violations, 3 solver
 did not converge or verification failed, 1 unexpected runtime failure.
@@ -11,12 +11,10 @@ did not converge or verification failed, 1 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +29,7 @@ from .oracle import (
     minimal_lp_select,
     verify_solution,
 )
-from .regpath import make_schedule, t_upper_for_nonzero
+from .regpath import Schedule, t_upper_for_nonzero
 from .solve import DivergedError, SolveOptions, solve_sparse_tcp
 from .tensors import (
     EXAMPLE_LABEL,
@@ -49,15 +47,6 @@ from .tensors import (
 SCHEMA = "sparse-tcp/1"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    instance_path: str | None = None
-    output_path: str | None = None
-    overrides: dict = field(default_factory=dict)
-    format: str = "json"
-
-
 def _emit(payload: dict, output_path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output_path:
@@ -66,8 +55,8 @@ def _emit(payload: dict, output_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(command: str, cfg: RunConfig, no_timestamp: bool) -> dict:
-    report = {"schema": SCHEMA, "command": command, "options": dict(cfg.overrides)}
+def _base_report(command: str, overrides: dict, no_timestamp: bool) -> dict:
+    report = {"schema": SCHEMA, "command": command, "options": dict(overrides)}
     if not no_timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return report
@@ -76,7 +65,7 @@ def _base_report(command: str, cfg: RunConfig, no_timestamp: bool) -> dict:
 def _solve_options(args) -> SolveOptions:
     return SolveOptions(
         params=ObjectiveParams(t=args.t0, p=args.p),
-        schedule=make_schedule(args.t0, args.factor, args.steps),
+        schedule=Schedule(args.t0, args.factor, args.steps),
         eps0=args.eps0,
         eps_factor=args.eps_factor,
         max_outer=args.max_outer,
@@ -118,8 +107,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     opts = _solve_options(args)
-    cfg = RunConfig("solve", args.instance, args.output, opts.to_dict())
-    report = _base_report("solve", cfg, args.no_timestamp)
+    report = _base_report("solve", opts.to_dict(), args.no_timestamp)
     result = solve_sparse_tcp(inst, opts)
     report["instance"] = {"path": args.instance, "label": inst.label, "n": inst.n, "m": inst.m}
     report["result"] = result.to_dict()
@@ -152,8 +140,7 @@ def cmd_oracle(args) -> int:
         "p_list": args.p_list,
         "least_element": args.least_element,
     }
-    cfg = RunConfig("oracle", args.instance, args.output, overrides)
-    report = _base_report("oracle", cfg, args.no_timestamp)
+    report = _base_report("oracle", overrides, args.no_timestamp)
     result = brute_force_sparse(inst, opts)
     for p_str in filter(None, args.p_list.split(",")):
         p = float(p_str)
@@ -192,8 +179,7 @@ def cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     u = _parse_vector(args, inst.n)
     overrides = {"tol": args.tol, "u": [float(x) for x in u]}
-    cfg = RunConfig("verify", args.instance, args.output, overrides)
-    report = _base_report("verify", cfg, args.no_timestamp)
+    report = _base_report("verify", overrides, args.no_timestamp)
     residuals, passed = verify_solution(inst, u, args.tol)
     report["instance"] = {"path": args.instance, "label": inst.label, "n": inst.n, "m": inst.m}
     report["result"] = {"residuals": residuals.to_dict(), "pass": passed}
@@ -286,48 +272,9 @@ def example_report(tol: float = 1e-8) -> dict:
 
 
 def cmd_example(args) -> int:
-    cfg = RunConfig("example", None, args.output, {"tol": args.tol})
-    report = _base_report("example", cfg, args.no_timestamp)
+    report = _base_report("example", {"tol": args.tol}, args.no_timestamp)
     report["result"] = example_report(args.tol)
     _emit(report, args.output)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",")]
-    rows = []
-    for i in range(args.count):
-        n = n_list[i % len(n_list)]
-        inst = gen_instance("z_feasible", n, args.m, args.seed + i)
-        opts = SolveOptions(
-            params=ObjectiveParams(t=args.t0, p=0.5),
-            schedule=make_schedule(args.t0, 0.5, args.steps),
-            starts=args.starts,
-            seed=args.seed,
-        )
-        t_start = time.perf_counter()
-        result = solve_sparse_tcp(inst, opts)
-        wall = time.perf_counter() - t_start
-        oracle = brute_force_sparse(inst, OracleOptions(seed=args.seed))
-        rows.append(
-            [
-                inst.label,
-                n,
-                args.m,
-                result.card,
-                oracle.min_card,
-                f"{result.residuals.fb_norm:.6e}",
-                f"{wall:.4f}",
-            ]
-        )
-    out = sys.stdout if not args.output else open(args.output, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["label", "n", "m", "solver_card", "oracle_card", "fb_norm", "wall_time_s"])
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -382,16 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-timestamp", action="store_true")
     sp.set_defaults(func=cmd_example)
 
-    sp = sub.add_parser("bench", help="CSV benchmark over a seeded instance suite")
-    sp.add_argument("--count", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--n-list", default="3,4,5")
-    sp.add_argument("--t0", type=float, default=0.1)
-    sp.add_argument("--steps", type=int, default=12)
-    sp.add_argument("--starts", type=int, default=5)
-    sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,9 +1,10 @@
 """Exact desk-scale ground truth for small TCP instances.
 
 Support enumeration with damped-Newton root finding gives the full verified
-solution list, the minimal cardinality, and the minimal-l_p selection; a
-penalty minimizer of sum(u) over the feasible set computes the least element
-of Z-tensor instances, cross-checked against the enumeration.
+solution list, the minimal cardinality, and the minimal-l_p selection.  On
+Z-tensor instances a monotone Jacobi iteration from u = 0, finished by one
+reduced Newton solve, computes the least element of the feasible set, which is
+a sparsest solution; it is cross-checked against the enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .tensors import (
     contract_m1,
     contract_m2,
     is_z_tensor,
-    semi_symmetrize,
+    semi_symmetric_instance,
 )
 
 N_MAX = 8  # combinatorial guard for support enumeration
@@ -239,9 +240,7 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     n = inst.n
     if n > N_MAX:
         raise ValueError(f"support enumeration is capped at n <= {N_MAX}, got n = {n}")
-    work = inst
-    if not inst.tensor.semi_symmetric():
-        work = Instance(semi_symmetrize(inst.tensor), inst.q, inst.label, inst.source)
+    work = semi_symmetric_instance(inst)
     rng = np.random.default_rng(opts.seed)
     max_card = n if opts.max_card is None else min(opts.max_card, n)
     deadline = None if opts.budget_seconds is None else time.monotonic() + opts.budget_seconds
@@ -385,106 +384,91 @@ def sample_feasible(inst: Instance, count: int, seed: int = 0) -> list[np.ndarra
     return found
 
 
+# Step cap of the monotone iteration in least_element.
+LEAST_ELEMENT_MAX_STEPS = 5000
+# A verified Newton root ends the iteration once it is this close above the iterate.
+NEWTON_REACH = 1e-6
+# A step no larger than this times max(1, max u) is rounding: u is a fixed point.
+FIXED_POINT_RTOL = 1e-14
+
+
 @dataclass
 class LeastElementOptions:
-    beta_ladder: tuple = (1e2, 1e4, 1e6, 1e8)
-    starts: int = 4
-    inner_iters: int = 400
     tol: float = 1e-8
     seed: int = 0
     support_tol: float = 1e-6
-    newton_iters: int = 60
 
 
-def _penalty_descent(inst: Instance, u0: np.ndarray, beta: float, iters: int) -> np.ndarray:
-    """Projected gradient descent on sum(u) + beta * ||min(w, 0)||^2 over u >= 0."""
-    A, q = inst.tensor, inst.q
-    mfac = inst.m - 1
+def _monotone_least(inst: Instance, tol: float) -> np.ndarray:
+    """The monotone Jacobi iteration of least_element, with its Newton finish and stops."""
+    work = semi_symmetric_instance(inst)
+    n, mfac = inst.n, inst.m - 1
+    diag = inst.tensor.as_array()[(np.arange(n),) * inst.m]
+    pos = diag > 0
 
-    def pval(u):
-        w = contract_m1(A, u) + q
-        wm = np.minimum(w, 0.0)
-        return float(np.sum(u) + beta * (wm @ wm))
-
-    def pgrad(u):
-        w = contract_m1(A, u) + q
-        wm = np.minimum(w, 0.0)
-        jac = mfac * contract_m2(A, u)
-        return 1.0 + 2.0 * beta * (jac.T @ wm)
-
-    u = np.maximum(np.asarray(u0, dtype=float), 0.0)
-    f = pval(u)
-    prev_u = None
-    prev_g = None
-    for _ in range(iters):
-        g = pgrad(u)
-        if prev_g is not None:
-            s = u - prev_u
-            y = g - prev_g
-            sy = float(s @ y)
-            alpha = float(s @ s) / sy if sy > 1e-18 else 1.0 / (1.0 + float(np.linalg.norm(g)))
-        else:
-            alpha = 1.0 / (1.0 + float(np.linalg.norm(g)))
-        alpha = min(max(alpha, 1e-16), 1e4)
-        accepted = False
-        for _ in range(50):
-            u_new = np.maximum(u - alpha * g, 0.0)
-            d = u_new - u
-            dn = float(d @ d)
-            if dn == 0.0:
-                break
-            f_new = pval(u_new)
-            if f_new <= f - 1e-4 * dn / alpha:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        prev_u, prev_g = u, g
-        u, f = u_new, f_new
-        if float(np.max(np.abs(d))) < 1e-13:
-            break
-    return u
+    u = np.zeros(n)
+    support = None
+    tried = set()
+    upper = None  # a verified Newton root: feasible, so no smaller than the least element
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(LEAST_ELEMENT_MAX_STEPS):
+            r = diag * u**mfac - (contract_m1(inst.tensor, u) + inst.q)
+            u_new = np.zeros(n)
+            u_new[pos] = (np.maximum(r[pos], 0.0) / diag[pos]) ** (1.0 / mfac)
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u_new))):
+                raise ValueError(f"infeasible: the monotone iteration is unbounded at step {step}")
+            stuck = np.flatnonzero(~pos & (r > tol))
+            if stuck.size:
+                i = stuck[0]
+                raise ValueError(
+                    f"infeasible: row {i} has a_ii <= 0 and w_{i} <= {-r[i]:.3g} "
+                    f"at every u above the iterate of step {step}"
+                )
+            if np.max(np.abs(u_new - u)) <= FIXED_POINT_RTOL * max(1.0, np.max(u_new)):
+                if verify_solution(inst, u_new, tol)[1]:
+                    return u_new
+            new_support = tuple(int(i) for i in np.flatnonzero(u_new > 0))
+            if new_support and new_support == support and new_support not in tried:
+                tried.add(new_support)
+                x, status = reduced_newton(work, new_support, u_new[list(new_support)])
+                root = _embed(x, new_support, n)
+                if status == "ok" and verify_solution(inst, root, tol)[1]:
+                    upper = root
+            if (
+                upper is not None
+                and np.all(upper >= u_new - tol)
+                and np.max(upper - u_new) <= NEWTON_REACH
+            ):
+                return upper
+            u, support = u_new, new_support
+    raise RuntimeError(f"no least element found after {LEAST_ELEMENT_MAX_STEPS} steps")
 
 
 def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np.ndarray:
-    """Least element of the feasible set for a feasible Z-tensor instance.
+    """Least element of the feasible set of a Z-tensor instance, by monotone Jacobi iteration.
 
-    Minimizes sum(u) over the feasible set by an increasing-penalty ladder
-    from several feasible starts, extracts the support, polishes it with the
-    reduced Newton solver, and cross-checks the result against the support
-    enumeration: the least element must be a minimal-cardinality solution.
+    Write w = A u^{m-1} + q as a_ii u_i^{m-1} - r_i(u).  The off-diagonal
+    entries are <= 0, so r_i rises with u >= 0, the step
+    T(u)_i = (max(0, r_i(u)) / a_ii)^(1/(m-1)) is monotone, and T(v) <= v at
+    every feasible v.  The iterates from u = 0 therefore rise, stay below every
+    feasible point, and converge to the least element: a TCP solution and a
+    sparsest one.  The iteration ends at a verified fixed point (to rounding),
+    or earlier through one reduced Newton solve on each support that repeats:
+    a root that verifies at opts.tol is a feasible point, so it lies at or
+    above the least element, and it is returned once the iterate, which lies
+    below, comes within NEWTON_REACH of it (at or above to opts.tol).  The
+    result is cross-checked against the support enumeration: the least element
+    must be a minimal-cardinality solution.
+
+    Raises ValueError when the instance is not a Z-tensor or has no feasible
+    point, shown by a row with a_ii <= 0 whose r_i exceeds opts.tol or by
+    non-finite (unbounded) iterates, and RuntimeError after
+    LEAST_ELEMENT_MAX_STEPS steps or when the cross-check fails.
     """
     opts = opts or LeastElementOptions()
     if not is_z_tensor(inst.tensor):
         raise ValueError("not a Z-tensor: least element is not guaranteed to exist")
-    work = inst
-    if not inst.tensor.semi_symmetric():
-        work = Instance(semi_symmetrize(inst.tensor), inst.q, inst.label, inst.source)
-
-    feas = sample_feasible(inst, max(opts.starts * 4, 8), seed=opts.seed)
-    if not feas:
-        raise ValueError("feasibility not established: no feasible point found")
-    feas.sort(key=lambda u: float(np.sum(u)))
-    starts = feas[: opts.starts]
-
-    best = None
-    best_sum = np.inf
-    for u0 in starts:
-        u = u0
-        for beta in opts.beta_ladder:
-            u = _penalty_descent(work, u, beta, opts.inner_iters)
-        support = [int(i) for i in np.flatnonzero(u > opts.support_tol)]
-        if support:
-            x, status = reduced_newton(work, support, u[support], iters=opts.newton_iters)
-            if status == "ok":
-                u = _embed(x, support, inst.n)
-        _, passed = verify_solution(inst, u, opts.tol)
-        if passed and float(np.sum(u)) < best_sum:
-            best = u
-            best_sum = float(np.sum(u))
-    if best is None:
-        raise RuntimeError("least-element search failed: no penalty start verified")
+    best = _monotone_least(inst, opts.tol)
 
     bf = brute_force_sparse(
         inst, OracleOptions(seed=opts.seed, tol=opts.tol, newton_starts=20)
@@ -494,7 +478,7 @@ def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np
     best_support = tuple(int(i) for i in np.flatnonzero(np.abs(best) > opts.support_tol))
     if len(best_support) != bf.min_card:
         raise RuntimeError(
-            "least-element cross-check failed: penalty support size "
+            "least-element cross-check failed: least-element support size "
             f"{len(best_support)} != enumerated minimal cardinality {bf.min_card}"
         )
     matched = any(
@@ -504,6 +488,6 @@ def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np
     if not matched:
         raise RuntimeError(
             "least-element cross-check failed: no enumerated minimal-cardinality "
-            "solution matches the penalty candidate"
+            "solution matches the least-element candidate"
         )
     return best

@@ -141,14 +141,6 @@ class Schedule:
         return [self.value(k) for k in range(self.steps)]
 
 
-def make_schedule(t0: float, factor: float, steps: int) -> Schedule:
-    return Schedule(t0, factor, steps)
-
-
-def next_t(schedule: Schedule, k: int) -> float:
-    return schedule.value(k)
-
-
 def threshold_by_L(u, L: float) -> np.ndarray:
     """Zero out every component with |u_i| < L; leave the rest unchanged."""
     if L <= 0:

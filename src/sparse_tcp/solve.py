@@ -33,11 +33,10 @@ from .regpath import (
     compute_Bbar,
     lower_bound_L,
     lp_norm_p,
-    make_schedule,
     q_tilde,
     threshold_by_L,
 )
-from .tensors import Instance, ResidualReport, contract_m1, semi_symmetrize, tensor_norm
+from .tensors import Instance, ResidualReport, contract_m1, semi_symmetric_instance, tensor_norm
 
 EPS_MIN = 1e-10
 # Eps rounds of the warm-start t-steps.  Every t-step but the last only seeds
@@ -71,7 +70,7 @@ class DivergedError(RuntimeError):
 @dataclass
 class SolveOptions:
     params: ObjectiveParams = field(default_factory=lambda: ObjectiveParams(t=0.1, p=0.5))
-    schedule: Schedule = field(default_factory=lambda: make_schedule(0.1, 0.5, 12))
+    schedule: Schedule = field(default_factory=lambda: Schedule(0.1, 0.5, 12))
     eps0: float = 0.1
     eps_factor: float = 0.3
     max_outer: int = 25
@@ -394,10 +393,7 @@ def polish_on_support(inst: Instance, u, support, tol: float = 1e-12):
     if not support:
         raise ValueError("support must be nonempty")
     u = np.asarray(u, dtype=float).reshape(-1)
-    work = inst
-    if not inst.tensor.semi_symmetric():
-        work = Instance(semi_symmetrize(inst.tensor), inst.q, inst.label, inst.source)
-    x, status = reduced_newton(work, support, u[support], tol=tol)
+    x, status = reduced_newton(semi_symmetric_instance(inst), support, u[support], tol=tol)
     if status == "singular":
         return u.copy(), "singular"
     if status != "ok":
@@ -492,8 +488,7 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     cardinality and then lexicographic order.
     """
     opts = opts or SolveOptions()
-    if not inst.tensor.semi_symmetric():
-        inst = Instance(semi_symmetrize(inst.tensor), inst.q, inst.label, inst.source)
+    inst = semi_symmetric_instance(inst)
     rng = np.random.default_rng(opts.seed)
     qt = q_tilde(inst.q)
     t_values = opts.schedule.values()

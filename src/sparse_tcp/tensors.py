@@ -205,6 +205,13 @@ def semi_symmetrize(A: DenseTensor) -> DenseTensor:
     return out
 
 
+def semi_symmetric_instance(inst: Instance) -> Instance:
+    """inst if its tensor is semi-symmetric, else the same TCP with the tensor semi-symmetrized."""
+    if inst.tensor.semi_symmetric():
+        return inst
+    return Instance(semi_symmetrize(inst.tensor), inst.q, inst.label, inst.source)
+
+
 def _diag_flat_indices(n: int, m: int) -> list[int]:
     return [int(np.ravel_multi_index((i,) * m, (n,) * m)) for i in range(n)]
 

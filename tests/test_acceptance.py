@@ -20,6 +20,7 @@ from sparse_tcp import (
     Instance,
     ObjectiveParams,
     OracleOptions,
+    Schedule,
     SolveOptions,
     brute_force_sparse,
     compute_Bbar,
@@ -32,7 +33,6 @@ from sparse_tcp import (
     grad_check,
     least_element,
     lp_norm_p,
-    make_schedule,
     minimal_lp_select,
     objective,
     q_tilde,
@@ -217,7 +217,7 @@ def test_criterion_6_zero_minimizer_regime():
         )
         t_big = 1.01 * gamma_k(1, b)
         opts = SolveOptions(
-            params=ObjectiveParams(t=t_big, p=0.5), schedule=make_schedule(t_big, 0.5, 1)
+            params=ObjectiveParams(t=t_big, p=0.5), schedule=Schedule(t_big, 0.5, 1)
         )
         report = solve_sparse_tcp(inst, opts)
         for entry in report.per_start:
@@ -227,7 +227,7 @@ def test_criterion_6_zero_minimizer_regime():
         ubar = minimal_lp_select(result, 0.5)
         t_small = 0.5 * t_upper_for_nonzero(inst.q, ubar, 0.5)
         opts2 = SolveOptions(
-            params=ObjectiveParams(t=t_small, p=0.5), schedule=make_schedule(t_small, 0.5, 1)
+            params=ObjectiveParams(t=t_small, p=0.5), schedule=Schedule(t_small, 0.5, 1)
         )
         report2 = solve_sparse_tcp(inst, opts2)
         f_final = objective(inst, report2.u_final, ObjectiveParams(t=t_small, p=0.5))

@@ -172,6 +172,23 @@ def test_oracle_least_element_requires_z(tmp_path):
     assert run(["oracle", inst_path, "--least-element"]) == 2
 
 
+def test_oracle_least_element_infeasible_z(tmp_path):
+    # row 0 has a zero diagonal and q_0 = -1, so w_0 = -1 at every u >= 0
+    arr = np.zeros((2, 2, 2))
+    arr[1, 1, 1] = 1.0
+    inst_path = tmp_path / "infeasible.json"
+    tensor = sparse_tcp.DenseTensor(3, 2, arr.reshape(-1))
+    save_instance(sparse_tcp.Instance(tensor, [-1.0, 0.5]), inst_path)
+    report_path = tmp_path / "oracle.json"
+    assert run(["oracle", inst_path, "--least-element", "-o", report_path, "--no-timestamp"]) == 0
+    result = json.loads(report_path.read_text())["result"]
+    assert result["is_z_tensor"] is True
+    assert result["min_card"] is None
+    assert result["least_element"] is None
+    error = result["least_element_error"]
+    assert error.startswith("infeasible: row 0") and "\n" not in error
+
+
 def test_oracle_guard_large_n(tmp_path):
     inst_path = tmp_path / "big.json"
     save_instance(gen_instance("diagonal", 9, 2, 0), inst_path)
@@ -235,21 +252,8 @@ def test_example_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run(["bench", "--count", 4, "--seed", 0, "--steps", 4, "--starts", 2, "-o", out]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "label,n,m,solver_card,oracle_card,fb_norm,wall_time_s"
-    assert len(lines) == 5
-    # non-time columns deterministic given the seed
-    out2 = tmp_path / "bench2.csv"
-    assert run(["bench", "--count", 4, "--seed", 0, "--steps", 4, "--starts", 2, "-o", out2]) == 0
-    strip = lambda text: [",".join(row.split(",")[:-1]) for row in text.strip().splitlines()]
-    assert strip(out.read_text()) == strip(out2.read_text())
-
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SUBCOMMANDS = ("gen", "solve", "oracle", "verify", "example", "bench")
+SUBCOMMANDS = ("gen", "solve", "oracle", "verify", "example")
 
 
 def project_scripts() -> dict[str, str]:

@@ -333,6 +333,107 @@ def test_least_element_cardinality_is_min_card():
     assert int(np.count_nonzero(le > 1e-9)) == result.min_card
 
 
+def coupled_z_instance(seed):
+    """Z-tensor with dense negative couplings, n 3-6 and m 3-4, about 3 in 4 solvable.
+
+    q is minus the image of a sparse positive point plus noise, so there is no
+    plant: exhaustive enumeration is the ground truth.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(3, 7)), int(rng.integers(3, 5))
+    arr = -rng.uniform(0.0, 0.3, (n,) * m)
+    for i in range(n):
+        arr[(i,) * m] = rng.uniform(1.5, 3.0)
+    tensor = DenseTensor(m, n, arr.reshape(-1))
+    v = np.zeros(n)
+    k = int(rng.integers(1, n))
+    v[rng.choice(n, k, replace=False)] = rng.uniform(0.3, 1.0, k)
+    return Instance(tensor, -contract_m1(tensor, v) + rng.uniform(-0.3, 0.3, n))
+
+
+def test_least_element_coupled_family():
+    # off-diagonal couplings inside the support defeat one-step guesses; the
+    # least element must verify and lie below every enumerated solution, and
+    # an instance without solutions must never yield a point
+    solvable = correct = returned_unsolvable = 0
+    for seed in range(40):
+        inst = coupled_z_instance(seed)
+        result = brute_force_sparse(inst, OracleOptions(exhaustive=True, seed=seed))
+        try:
+            le = least_element(inst, LeastElementOptions(seed=seed))
+        except (ValueError, RuntimeError):
+            le = None
+        if not result.solutions:
+            returned_unsolvable += le is not None
+            continue
+        solvable += 1
+        correct += (
+            le is not None
+            and verify_solution(inst, le, 1e-8)[1]
+            and all(np.all(le <= u + 1e-8) for u, _, _ in result.solutions)
+        )
+    assert solvable >= 20
+    assert correct == solvable
+    assert returned_unsolvable == 0
+
+
+def z_matrix_instance(rows, q):
+    return Instance(DenseTensor(2, len(q), np.array(rows, dtype=float).reshape(-1)), q)
+
+
+def test_least_element_z_matrix():
+    # not a P-matrix: the LCP has the solutions (1, 0) and (5/3, 1/3)
+    inst = z_matrix_instance([[1.0, -2.0], [-2.0, 1.0]], [-1.0, 3.0])
+    result = brute_force_sparse(inst, OracleOptions(exhaustive=True))
+    assert len(result.solutions) == 2
+    np.testing.assert_allclose(least_element(inst), [1.0, 0.0], atol=1e-12)
+    # the Jacobi iterates approach (200, 200) at rate 0.995 and would settle
+    # to rounding only after about 5,400 steps, past the cap; the Newton root
+    # found at step 1 ends the iteration once they come within 1e-6 of it,
+    # after about 3,800 steps
+    inst = z_matrix_instance([[1.0, -0.995], [-0.995, 1.0]], [-1.0, -1.0])
+    np.testing.assert_allclose(least_element(inst), [200.0, 200.0], rtol=1e-12)
+
+
+def test_least_element_skips_root_of_a_growing_support():
+    # rows 0 and 1 rise to 2 at rate 1/2; row 2 turns positive only once
+    # u_0 > 2 - 5e-7, two steps after the iterates come within 1e-6 of the
+    # Newton root (2, 2, 0) of support (0, 1), which fails verification
+    # (w_2 = -5e-5) and so must not end the iteration
+    inst = z_matrix_instance(
+        [[1.0, -0.5, 0.0], [-0.5, 1.0, 0.0], [-100.0, 0.0, 1.0]], [-1.0, -1.0, 199.99995]
+    )
+    np.testing.assert_allclose(least_element(inst), [2.0, 2.0, 5e-5], rtol=1e-9)
+
+
+def test_least_element_stops_on_nonpositive_diagonal():
+    # a_00 = 0 and q_0 = -1: w_0 = -1 at every u >= 0
+    arr = np.zeros((2, 2, 2))
+    arr[1, 1, 1] = 1.0
+    inst = Instance(DenseTensor(3, 2, arr.reshape(-1)), [-1.0, 0.5])
+    with pytest.raises(ValueError, match="infeasible: row 0 has a_ii <= 0"):
+        least_element(inst)
+
+
+def test_least_element_stops_when_unbounded():
+    # u0^2 >= 1 + 2 u1^2 and u1^2 >= 1 + 2 u0^2 cannot both hold; the iterates
+    # grow by sqrt(2) per step until they overflow
+    arr = np.zeros((2, 2, 2))
+    arr[0, 0, 0] = arr[1, 1, 1] = 1.0
+    arr[0, 1, 1] = arr[1, 0, 0] = -2.0
+    inst = Instance(DenseTensor(3, 2, arr.reshape(-1)), [-1.0, -1.0])
+    with pytest.raises(ValueError, match="infeasible: the monotone iteration is unbounded"):
+        least_element(inst)
+
+
+def test_least_element_stops_at_step_cap():
+    # infeasible (adding the rows gives -0.001 (u0 + u1) >= 2), but the iterates
+    # grow only by 1.001 per step and stay finite up to the cap
+    inst = z_matrix_instance([[1.0, -1.001], [-1.001, 1.0]], [-1.0, -1.0])
+    with pytest.raises(RuntimeError, match="no least element found after 5000 steps"):
+        least_element(inst)
+
+
 # -- sample_feasible --------------------------------------------------------------
 
 

@@ -7,13 +7,12 @@ import pytest
 
 from sparse_tcp import (
     BoundInputs,
+    Schedule,
     card,
     compute_Bbar,
     gamma_k,
     lower_bound_L,
     lp_norm_p,
-    make_schedule,
-    next_t,
     q_tilde,
     t_upper_for_nonzero,
     threshold_by_L,
@@ -125,18 +124,18 @@ def test_t_upper_for_nonzero():
 
 
 def test_schedule():
-    s = make_schedule(1.0, 0.5, 3)
+    s = Schedule(1.0, 0.5, 3)
     assert s.values() == [1.0, 0.5, 0.25]
-    assert next_t(s, 2) == 0.25
-    make_schedule(1.0, 0.9999, 2)
+    assert s.value(2) == 0.25
+    Schedule(1.0, 0.9999, 2)
     with pytest.raises(ValueError):
-        make_schedule(1.0, 1.0, 2)
+        Schedule(1.0, 1.0, 2)
     with pytest.raises(ValueError):
-        make_schedule(-1.0, 0.5, 2)
+        Schedule(-1.0, 0.5, 2)
 
 
 def test_schedule_positive_strictly_decreasing():
-    s = make_schedule(0.3, 0.77, 40)
+    s = Schedule(0.3, 0.77, 40)
     vals = s.values()
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))

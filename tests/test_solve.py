@@ -15,6 +15,7 @@ from sparse_tcp import (
     Instance,
     ObjectiveParams,
     OracleOptions,
+    Schedule,
     SolveOptions,
     brute_force_sparse,
     compute_Bbar,
@@ -23,7 +24,6 @@ from sparse_tcp import (
     grad_merit,
     identity_tensor,
     lp_norm_p,
-    make_schedule,
     minimal_lp_select,
     minimize_local,
     objective,
@@ -46,7 +46,7 @@ def diag_instance(q):
 
 def single_t_options(t, **kw):
     return SolveOptions(
-        params=ObjectiveParams(t=t, p=0.5), schedule=make_schedule(t, 0.5, 1), **kw
+        params=ObjectiveParams(t=t, p=0.5), schedule=Schedule(t, 0.5, 1), **kw
     )
 
 
