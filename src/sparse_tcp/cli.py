@@ -62,39 +62,32 @@ def _base_report(command: str, overrides: dict, no_timestamp: bool) -> dict:
     return report
 
 
+# SolveOptions fields that map one-to-one onto the solve flag of the same name
+_SOLVER_FIELDS = (
+    "eps0", "eps_factor", "max_outer", "max_inner", "armijo_c", "armijo_shrink",
+    "grad_tol", "residual_tol", "starts", "seed",
+)
+
+
 def _solve_options(args) -> SolveOptions:
     return SolveOptions(
         params=ObjectiveParams(t=args.t0, p=args.p),
         schedule=Schedule(args.t0, args.factor, args.steps),
-        eps0=args.eps0,
-        eps_factor=args.eps_factor,
-        max_outer=args.max_outer,
-        max_inner=args.max_inner,
-        armijo_c=args.armijo_c,
-        armijo_shrink=args.armijo_shrink,
-        grad_tol=args.grad_tol,
-        residual_tol=args.residual_tol,
-        starts=args.starts,
-        seed=args.seed,
         polish=not args.no_polish,
+        **{name: getattr(args, name) for name in _SOLVER_FIELDS},
     )
 
 
 def _add_solver_flags(sp) -> None:
-    sp.add_argument("--t0", type=float, default=0.1)
-    sp.add_argument("--factor", type=float, default=0.5)
-    sp.add_argument("--steps", type=int, default=12)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--eps0", type=float, default=0.1)
-    sp.add_argument("--eps-factor", type=float, default=0.3)
-    sp.add_argument("--max-outer", type=int, default=25)
-    sp.add_argument("--max-inner", type=int, default=150)
-    sp.add_argument("--armijo-c", type=float, default=1e-4)
-    sp.add_argument("--armijo-shrink", type=float, default=0.5)
-    sp.add_argument("--grad-tol", type=float, default=1e-8)
-    sp.add_argument("--residual-tol", type=float, default=1e-6)
-    sp.add_argument("--starts", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
+    # the defaults are read off SolveOptions(), so flags and library cannot drift apart
+    default = SolveOptions()
+    sp.add_argument("--t0", type=float, default=default.schedule.t0)
+    sp.add_argument("--factor", type=float, default=default.schedule.factor)
+    sp.add_argument("--steps", type=int, default=default.schedule.steps)
+    sp.add_argument("--p", type=float, default=default.params.p)
+    for name in _SOLVER_FIELDS:
+        value = getattr(default, name)
+        sp.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     sp.add_argument("--no-polish", action="store_true")
 
 

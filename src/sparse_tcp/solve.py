@@ -2,7 +2,12 @@
 
 The nonsmooth term t * sum|u_i|^p is smoothed as t * sum (u_i^2 + eps^2)^(p/2)
 and eps is annealed geometrically down to EPS_MIN inside each local solve, so
-one descent loop covers every p in (0, 1).  The driver walks a decreasing
+one descent loop covers every p in (0, 1).  Every eps round but the last ends
+once the smoothed gradient norm is at most max(grad_tol, eps), the
+smoothing-gradient rule of X. Chen, "Smoothing methods for nonsmooth, nonconvex
+minimization", Math. Program. 134 (2012), with gamma = 1: the next, smaller eps
+replaces such a round anyway.  The last round runs to ||g|| <= grad_tol, so the
+returned point meets the exact stationarity test.  The driver walks a decreasing
 schedule of regularization weights with warm starts, all starts as one
 batch, thresholds the final point by the closed-form magnitude floor L, and
 polishes the detected support with Newton's method on the reduced square
@@ -12,6 +17,7 @@ Fischer-Burmeister system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,8 +91,10 @@ class SolveOptions:
     grad_cfg: FbGradConfig = field(default_factory=FbGradConfig)
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.grad_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("eps0, grad_tol, residual_tol must be positive")
+        for name in ("eps0", "grad_tol", "residual_tol"):
+            val = getattr(self, name)
+            if not (val > 0 and math.isfinite(val)):
+                raise ValueError(f"{name} must be finite and > 0, got {val}")
         for name in ("eps_factor", "armijo_c", "armijo_shrink"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -246,9 +254,12 @@ def _descend(inst, u0, params, opts, traces=None):
     start of a round stops there and is NaN in f_rounds from that round on.
 
     Every row walks the same eps rounds; within a round each row keeps its own
-    Barzilai-Borwein step, Armijo test and exit (gradient below grad_tol, no
-    step accepted, a step below machine noise, or max_inner iterations), and
-    the round ends when every row has exited.  The search direction is the
+    Barzilai-Borwein step, Armijo test and exit (a small gradient, no step
+    accepted, a step below machine noise, or max_inner iterations), and the
+    round ends when every row has exited.  A small gradient is
+    ||g|| <= max(grad_tol, eps) in every round but the last (Chen 2012, see
+    the module docstring) and ||g|| <= grad_tol in the last round, whatever
+    opts.max_outer makes the number of rounds.  The search direction is the
     gradient scaled by the diagonal curvature of the smoothing term,
     1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the stiff near-zero
     components without giving up the Armijo descent guarantee.  The smoothed
@@ -264,7 +275,9 @@ def _descend(inst, u0, params, opts, traces=None):
     finite = np.ones(k, dtype=bool)
     tp, ex = params.t * params.p, params.p / 2.0 - 1.0
     f_rounds = []
-    for eps in _eps_rounds(opts):
+    rounds = _eps_rounds(opts)
+    for i, eps in enumerate(rounds):
+        tol = opts.grad_tol if i == len(rounds) - 1 else max(opts.grad_tol, eps)
 
         def fun(x):
             return smooth_objective(inst, x, params, eps)
@@ -281,7 +294,7 @@ def _descend(inst, u0, params, opts, traces=None):
             if not idx.size:
                 break
             g = smooth_grad(inst, x, params, eps, opts.grad_cfg)
-            keep = np.einsum("ij,ij->i", g, g) > opts.grad_tol**2
+            keep = np.einsum("ij,ij->i", g, g) > tol**2
             if not keep.all():
                 u[idx[~keep]] = x[~keep]
                 idx, x, f, g = idx[keep], x[keep], f[keep], g[keep]

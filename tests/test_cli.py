@@ -132,6 +132,28 @@ def test_solve_missing_file(tmp_path):
     assert run(["solve", tmp_path / "nope.json"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--eps0", "--grad-tol", "--residual-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    assert run(["solve", inst_path, flag, value, "-o", report_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+    assert not report_path.exists()
+
+
+def test_solve_defaults_are_the_library_defaults(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    assert run(["solve", inst_path, "-o", report_path, "--no-timestamp"]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["options"] == sparse_tcp.SolveOptions().to_dict()
+    assert report["result"]["options"] == report["options"]
+
+
 def test_solve_deterministic_bytes(tmp_path):
     inst_path = tmp_path / "inst.json"
     run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
