@@ -108,6 +108,20 @@ def cmd_solve(args) -> int:
     return 0 if result.converged else 3
 
 
+def _parse_p_list(text: str) -> list[float]:
+    """The exponents of --p-list, each checked to lie in (0, 1]."""
+    values = []
+    for item in filter(None, text.split(",")):
+        try:
+            p = float(item)
+        except ValueError:
+            raise ValueError(f"--p-list: not a number: {item!r}") from None
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"--p-list: p must lie in (0, 1], got {item}")
+        values.append(p)
+    return values
+
+
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
     if inst.n > N_MAX:
@@ -124,6 +138,7 @@ def cmd_oracle(args) -> int:
         seed=args.seed,
         exhaustive=args.exhaustive,
     )
+    p_values = _parse_p_list(args.p_list)
     overrides = {
         "max_card": args.max_card,
         "newton_starts": args.newton_starts,
@@ -135,9 +150,8 @@ def cmd_oracle(args) -> int:
     }
     report = _base_report("oracle", overrides, args.no_timestamp)
     result = brute_force_sparse(inst, opts)
-    for p_str in filter(None, args.p_list.split(",")):
-        p = float(p_str)
-        if result.solutions:
+    if result.solutions:
+        for p in p_values:
             minimal_lp_select(result, p)
     payload = result.to_dict()
     payload["is_z_tensor"] = z

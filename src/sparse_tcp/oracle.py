@@ -1,16 +1,18 @@
 """Exact desk-scale ground truth for small TCP instances.
 
-Support enumeration with damped-Newton root finding gives the full verified
-solution list, the minimal cardinality, and the minimal-l_p selection.  On
-Z-tensor instances a monotone Jacobi iteration from u = 0, finished by one
-reduced Newton solve, computes the least element of the feasible set, which is
-a sparsest solution; it is cross-checked against the enumeration.
+Support enumeration gives the full verified solution list, the minimal
+cardinality, and the minimal-l_p selection: every support's seeded starts
+become rows of one masked damped-Newton batch on the full tensor, with each
+row's support as a mask instead of a sub-tensor.  On Z-tensor instances a
+monotone Jacobi iteration from u = 0, finished by one reduced Newton solve,
+computes the least element of the feasible set, which is a sparsest solution;
+it is cross-checked against the enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,7 +21,6 @@ import numpy as np
 from .merit import residual_fb
 from .regpath import lp_norm_p, q_tilde
 from .tensors import (
-    DenseTensor,
     Instance,
     ResidualReport,
     contract_m1,
@@ -41,8 +42,18 @@ class OracleOptions:
     newton_iters: int = 60
     newton_tol: float = 1e-12
     dedup_tol: float = 1e-7
-    budget_seconds: float | None = None
     tol_zero: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("newton_starts", "newton_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_card is not None and self.max_card < 0:
+            raise ValueError(f"max_card must be None or >= 0, got {self.max_card}")
+        for name in ("tol", "newton_tol", "dedup_tol", "tol_zero"):
+            val = getattr(self, name)
+            if not (val > 0 and math.isfinite(val)):
+                raise ValueError(f"{name} must be finite and > 0, got {val}")
 
 
 @dataclass
@@ -98,32 +109,25 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
     return report, passed
 
 
-def _embed(x: np.ndarray, support, n: int) -> np.ndarray:
-    u = np.zeros(n)
-    u[list(support)] = x
-    return u
+# Cap on the Kronecker entries (rows times n^(m-1)) of one contraction over a
+# block of rows, about 0.5 MB: for n <= 5 and m = 3 a whole enumeration batch
+# or step-length ladder is one call, while larger batches and tensors take it
+# in row blocks (and a ladder stops at the first block that settles every row).
+_LADDER_ENTRIES = 2**16
 
 
-def _restrict(inst: Instance, support) -> tuple[DenseTensor, np.ndarray]:
-    """Sub-tensor and sub-vector over the support.
-
-    For u supported on S, (A u^{m-1})_i with i in S equals the contraction of
-    the restricted tensor with u_S, so the reduced square system lives entirely
-    on the restriction.
-    """
-    support = list(support)
-    arr = inst.tensor.as_array()[np.ix_(*([support] * inst.m))]
-    sub = DenseTensor(inst.m, len(support), arr.reshape(-1))
-    sub._semi_symmetric = inst.tensor._semi_symmetric
-    return sub, inst.q[support]
+def _rows_per_call(inst: Instance) -> int:
+    return max(1, _LADDER_ENTRIES // inst.n ** (inst.m - 1))
 
 
-# Backtracking rungs 2^-1 ... 2^-39 tried after a rejected full Newton step:
-# every step length above 1e-12 that halving from 1 reaches.
-_LADDER = 0.5 ** np.arange(1, 40)
-# Cap on the Kronecker entries (rows times s^(m-1)) of one ladder contraction,
-# about 8 MB, so large supports and orders evaluate the ladder in row blocks.
-LADDER_BLOCK_ENTRIES = 2**20
+def _in_blocks(inst: Instance, fun, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """fun(x, rows) over row blocks of x under the _LADDER_ENTRIES cap, concatenated."""
+    per_call = _rows_per_call(inst)
+    if len(x) <= per_call:
+        return fun(x, rows)
+    return np.concatenate(
+        [fun(x[i : i + per_call], rows[i : i + per_call]) for i in range(0, len(x), per_call)]
+    )
 
 
 def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -140,58 +144,79 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
         return step
 
 
-def _sufficient(g_new: np.ndarray, lam, base: np.ndarray) -> np.ndarray:
-    """Residual decrease test ||g_new|| <= (1 - lam/2) ||g|| on finite rows."""
-    finite = np.all(np.isfinite(g_new), axis=-1)
-    return finite & (np.linalg.norm(g_new, axis=-1) <= (1 - 0.5 * lam) * base)
+def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
+    """Backtracking Armijo search along u - step * d for every row at once.
 
-
-def _line_search(sub: DenseTensor, q_sub: np.ndarray, x, g, step):
-    """Halving line search for every row at once: (x_new, g_new, found).
-
-    Each row takes the first accepted step length of 1, 2^-1, ..., 2^-39,
-    the step a halving loop would accept; rows that accept none have found
-    False and their x_new and g_new are meaningless.
+    Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
+    fun value is at most f_r - c * step * slope_r (a NaN value never is): the
+    step a backtracking loop would accept.  fun(x, rows) takes candidate
+    points x and, for each, the index of the row of u it belongs to.  The
+    full steps are evaluated first; the rows that reject theirs evaluate the
+    ladder of shorter steps, stopping after the span of steps in which every
+    row found its step.  Every fun call gets rows of at most _LADDER_ENTRIES
+    Kronecker entries in all, or one row.  Returns (u_new, f_new, step,
+    found); rows with found False accepted no step and hold meaningless values.
     """
-    base = np.linalg.norm(g, axis=-1)
-    x_new = x - step
-    g_new = contract_m1(sub, x_new) + q_sub
-    found = _sufficient(g_new, 1.0, base)
-    retry = np.flatnonzero(~found)
-    if retry.size:
-        cand = x[retry, None, :] - _LADDER[:, None] * step[retry, None, :]
-        flat = cand.reshape(-1, x.shape[1])
-        block = max(1, LADDER_BLOCK_ENTRIES // x.shape[1] ** (sub.m - 1))
-        g_cand = np.concatenate(
-            [contract_m1(sub, flat[i : i + block]) for i in range(0, len(flat), block)]
-        ).reshape(cand.shape) + q_sub
-        ok = _sufficient(g_cand, _LADDER, base[retry, None])
-        rung = np.argmax(ok, axis=1)  # first accepted rung
-        hit = np.flatnonzero(ok[np.arange(retry.size), rung])
-        x_new[retry[hit]] = cand[hit, rung[hit]]
-        g_new[retry[hit]] = g_cand[hit, rung[hit]]
-        found[retry[hit]] = True
-    return x_new, g_new, found
+    u_new = u - alpha[:, None] * d
+    f_new = _in_blocks(inst, fun, u_new, np.arange(len(u)))
+    found = f_new <= f - c * alpha * slope
+    if found.all():
+        return u_new, f_new, alpha, found
+    step = alpha.copy()
+    pending = np.flatnonzero(~found)
+    per_call = _rows_per_call(inst)
+    j = 1
+    while pending.size and j < tries:
+        span = min(max(1, per_call // pending.size), tries - j)
+        steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
+        cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
+        f_cand = _in_blocks(
+            inst, fun, cand.reshape(-1, u.shape[1]), np.repeat(pending, span)
+        ).reshape(steps.shape)
+        ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
+        rung = np.argmax(ok, axis=1)  # first accepted step of each row
+        hit = ok[np.arange(pending.size), rung]
+        rows, rung = pending[hit], rung[hit]
+        u_new[rows] = cand[hit, rung]
+        f_new[rows] = f_cand[hit, rung]
+        step[rows] = steps[hit, rung]
+        found[rows] = True
+        pending = pending[~hit]
+        j += span
+    return u_new, f_new, step, found
 
 
-def reduced_newton(inst: Instance, support, x0, iters: int = 60, tol: float = 1e-12):
-    """Damped Newton for the square system w_i(u) = 0, i in support, u = 0 off it.
+# Step lengths 1, 1/2, ..., 2^-39 of a reduced Newton line search.
+_NEWTON_TRIES = 40
 
-    The instance must hold a semi-symmetric tensor so that (m-1) contract_m2
-    is the Jacobian of u -> A u^{m-1}.  x0 is one start of length
-    s = len(support) or a (k, s) batch of independent starts, all advanced
-    together.  Each start stops on its own: "ok" once max|w| <= tol,
-    "singular" on a singular Jacobian or a non-finite step, "stalled" when
-    the line search fails or 8 steps in a row miss a 30% gain on the best
-    max|w|.  Returns (x, status) for one start and (X, statuses) for a batch,
-    statuses a tuple of str in start order.
+
+def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12):
+    """Damped Newton for the square systems w_i(u) = 0, i in S_r, u = 0 off S_r.
+
+    mask is a (k, n) boolean array whose row r marks the support S_r of start
+    r, and x0 a (k, n) block of starts; entries off a row's support are
+    ignored.  Every row advances on the full tensor, which must be
+    semi-symmetric so that (m-1) contract_m2 is the Jacobian of
+    u -> A u^{m-1}.  Row r's residual is w = A x^{m-1} + q masked to S_r, and
+    its Jacobian has the rows and columns off S_r replaced by the identity,
+    so each Newton step solves the reduced system on S_r and is exactly 0 off
+    it.  A step is damped by halving from 1 until ||w|| falls to at most
+    (1 - step/2) times its value.  Each start stops on its own: "ok" once
+    max|w| <= tol, "singular" on a singular Jacobian or a non-finite step,
+    "stalled" when the line search fails or 8 steps in a row miss a 30% gain
+    on the best max|w|.  Returns (X, statuses): the (k, n) final rows,
+    exactly 0 off their supports, and a tuple of str in start order.
     """
-    support = list(support)
-    sub, q_sub = _restrict(inst, support)
-    mfac = inst.m - 1
-    x0 = np.asarray(x0, dtype=float)
-    x = np.array(x0, ndmin=2)
-    g = contract_m1(sub, x) + q_sub
+    A, q, mfac = inst.tensor, inst.q, inst.m - 1
+    mask = np.asarray(mask, dtype=bool)
+    x = np.where(mask, np.asarray(x0, dtype=float), 0.0)
+    on_block = mask[:, :, None] & mask[:, None, :]  # Jacobian entries inside S_r x S_r
+    off_eye = np.eye(inst.n) * ~mask[:, None, :]  # identity rows and columns off S_r
+
+    def residual(y, rows):
+        return np.where(mask[rows], contract_m1(A, y) + q, 0.0)
+
+    g = _in_blocks(inst, residual, x, np.arange(len(x)))
     status = ["stalled"] * len(x)
     best = np.max(np.abs(g), axis=1)
     stale = np.zeros(len(x), dtype=int)
@@ -201,19 +226,27 @@ def reduced_newton(inst: Instance, support, x0, iters: int = 60, tol: float = 1e
         for r in rows:
             status[r] = reason
 
+    def norm(y, rows):  # rows index act
+        return np.linalg.norm(residual(y, act[rows]), axis=1)
+
     for _ in range(iters):
         done = np.max(np.abs(g[act]), axis=1) <= tol
         stop(act[done], "ok")
         act = act[~done]
         if not act.size:
             break
-        step = _newton_steps(mfac * contract_m2(sub, x[act]), g[act])
+        jac = np.where(on_block[act], mfac * contract_m2(A, x[act]), off_eye[act])
+        step = _newton_steps(jac, g[act])
         singular = ~np.all(np.isfinite(step), axis=1)
         stop(act[singular], "singular")
         act, step = act[~singular], step[~singular]
-        x_new, g_new, found = _line_search(sub, q_sub, x[act], g[act], step)
+        base = np.linalg.norm(g[act], axis=1)
+        x_new, _, _, found = _armijo(
+            inst, norm, x[act], base, step, base, np.ones(act.size), 0.5, 0.5, _NEWTON_TRIES
+        )
         act = act[found]  # the rest stalled: no step length was accepted
-        x[act], g[act] = x_new[found], g_new[found]
+        x[act] = x_new[found]
+        g[act] = _in_blocks(inst, residual, x[act], act)
         gn = np.max(np.abs(g[act]), axis=1)
         gained = gn < 0.7 * best[act]
         best[act[gained]] = gn[gained]
@@ -221,8 +254,6 @@ def reduced_newton(inst: Instance, support, x0, iters: int = 60, tol: float = 1e
         act = act[stale[act] < 8]  # no real progress: a root is not nearby
     else:
         stop(act[np.max(np.abs(g[act]), axis=1) <= tol], "ok")
-    if x0.ndim == 1:
-        return x[0], status[0]
     return x, tuple(status)
 
 
@@ -230,11 +261,13 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     """Exact sparse-solution search by support enumeration.
 
     Supports are visited by increasing cardinality, lexicographic within each
-    size; each reduced polynomial system is attacked with seeded multi-start
-    damped Newton, and every candidate must pass verify_solution on the
-    original instance.  Stops at the first cardinality that yields a verified
-    solution unless opts.exhaustive, in which case every support up to the
-    size cap is searched.
+    size.  Every nonempty support gets opts.newton_starts seeded starts, and
+    the starts of every support are stacked as rows of one masked
+    reduced_newton batch on the full tensor: one batch for all sizes when
+    opts.exhaustive, else one per size, so that the search stops at the first
+    size that yields a verified solution.  Every new root must pass
+    verify_solution on the original instance; roots within opts.dedup_tol of
+    a solution already found are dropped.
     """
     opts = opts or OracleOptions()
     n = inst.n
@@ -243,60 +276,49 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     work = semi_symmetric_instance(inst)
     rng = np.random.default_rng(opts.seed)
     max_card = n if opts.max_card is None else min(opts.max_card, n)
-    deadline = None if opts.budget_seconds is None else time.monotonic() + opts.budget_seconds
+    k = opts.newton_starts
 
     solutions = []
-    aborted = False
+    found_at = []  # enumerated support size of each solution
 
-    def known(u):
-        return any(float(np.max(np.abs(u - u0))) < opts.dedup_tol for u0, _, _ in solutions)
+    def visit(u, size):
+        if any(float(np.max(np.abs(u - u0))) < opts.dedup_tol for u0, _, _ in solutions):
+            return
+        report, passed = verify_solution(inst, u, opts.tol, tol_zero=opts.tol_zero)
+        if passed:
+            solutions.append((u, report.support, report))
+            found_at.append(size)
 
-    min_card = None
-    for size in range(max_card + 1):
-        for support in itertools.combinations(range(n), size):
-            if deadline is not None and time.monotonic() > deadline:
-                aborted = True
-                break
-            if size == 0:
-                candidates = [np.zeros(n)]
-            else:
-                x0 = rng.uniform(0.05, 2.0, (opts.newton_starts, size))
-                xs, statuses = reduced_newton(
-                    work, support, x0, iters=opts.newton_iters, tol=opts.newton_tol
-                )
-                candidates = [
-                    _embed(x, support, n) for x, status in zip(xs, statuses) if status == "ok"
-                ]
-            for u in candidates:
-                report, passed = verify_solution(inst, u, opts.tol, tol_zero=opts.tol_zero)
-                if passed and not known(u):
-                    solutions.append((u, report.support, report))
-        if aborted:
+    visit(np.zeros(n), 0)  # the empty support holds one point
+    sizes = list(range(1, max_card + 1))
+    for group in [sizes] if opts.exhaustive else [[size] for size in sizes]:
+        if solutions and not opts.exhaustive:
             break
-        if solutions and min_card is None:
-            min_card = size
-            if not opts.exhaustive:
-                break
+        supports = [list(s) for size in group for s in itertools.combinations(range(n), size)]
+        mask = np.zeros((len(supports) * k, n), dtype=bool)
+        x0 = np.zeros(mask.shape)
+        for i, support in enumerate(supports):
+            mask[i * k : (i + 1) * k, support] = True
+            x0[i * k : (i + 1) * k, support] = rng.uniform(0.05, 2.0, (k, len(support)))
+        xs, statuses = reduced_newton(
+            work, mask, x0, iters=opts.newton_iters, tol=opts.newton_tol
+        )
+        for x, size, status in zip(xs, mask.sum(axis=1), statuses):
+            if status == "ok":
+                visit(x, int(size))
 
     solutions.sort(key=lambda entry: (len(entry[1]), tuple(entry[0])))
-    if solutions and min_card is None:
-        min_card = min(len(sup) for _, sup, _ in solutions)
-    sparse = None
-    if min_card is not None:
-        for u, sup, _ in solutions:
-            if len(sup) == min_card:
-                sparse = u.copy()
-                break
+    min_card = min(found_at, default=None)
+    sparse = next((u.copy() for u, sup, _ in solutions if len(sup) == min_card), None)
     # exhaustive: every support of every size was searched in full (no early
-    # exit after the first hit, no budget abort, no size cap below n)
+    # exit after the first hit, no size cap below n)
     no_early_exit = opts.exhaustive or min_card is None or min_card == max_card
-    exhausted = (not aborted) and max_card == n and no_early_exit
     return OracleResult(
         solutions=solutions,
         min_card=min_card,
         sparse_solution=sparse,
         minimal_lp={},
-        exhaustive=exhausted,
+        exhaustive=max_card == n and no_early_exit,
     )
 
 
@@ -430,8 +452,7 @@ def _monotone_least(inst: Instance, tol: float) -> np.ndarray:
             new_support = tuple(int(i) for i in np.flatnonzero(u_new > 0))
             if new_support and new_support == support and new_support not in tried:
                 tried.add(new_support)
-                x, status = reduced_newton(work, new_support, u_new[list(new_support)])
-                root = _embed(x, new_support, n)
+                (root,), (status,) = reduced_newton(work, (u_new > 0)[None], u_new[None])
                 if status == "ok" and verify_solution(inst, root, tol)[1]:
                     upper = root
             if (

@@ -31,7 +31,7 @@ from .merit import (
     merit_fb,
     objective,
 )
-from .oracle import _newton_steps, reduced_newton, verify_solution
+from .oracle import _armijo, _newton_steps, reduced_newton, verify_solution
 from .regpath import (
     BoundInputs,
     Schedule,
@@ -52,11 +52,6 @@ EPS_MIN = 1e-10
 WARM_MAX_OUTER = 13
 # Step lengths alpha * shrink^j, j = 0..69, one Armijo search of the descent tries.
 _ARMIJO_TRIES = 70
-# Cap on the Kronecker entries (rows times n^(m-1)) of one contraction over a
-# ladder of step lengths, about 0.5 MB: at desk sizes a whole ladder is one
-# call, while large tensors take it in blocks and stop at the first block
-# that settles every row, instead of evaluating rungs no row needs.
-_LADDER_ENTRIES = 2**16
 # FB Newton repair: iteration cap, residual target max|Phi|, step lengths
 # 1, 1/2, ..., 2^-39 per line search, and the magnitude snapped to exact 0.
 _FB_ITERS = 50
@@ -206,44 +201,6 @@ def _eps_rounds(opts: SolveOptions) -> list[float]:
     return rounds
 
 
-def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
-    """Backtracking Armijo search along u - step * d for every row at once.
-
-    Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
-    fun value is at most f_r - c * step * slope_r (a NaN value never is): the
-    step a backtracking loop would accept.  The full steps are evaluated in
-    one call; the rows that reject theirs evaluate the ladder of shorter steps
-    in blocks of at most _LADDER_ENTRIES Kronecker entries, stopping after the
-    block in which every row found its step.  Returns (u_new, f_new, step,
-    found); rows with found False accepted no step and hold meaningless values.
-    """
-    u_new = u - alpha[:, None] * d
-    f_new = fun(u_new)
-    found = f_new <= f - c * alpha * slope
-    if found.all():
-        return u_new, f_new, alpha, found
-    step = alpha.copy()
-    pending = np.flatnonzero(~found)
-    per_call = max(1, _LADDER_ENTRIES // inst.n ** (inst.m - 1))
-    j = 1
-    while pending.size and j < tries:
-        span = min(max(1, per_call // pending.size), tries - j)
-        steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
-        cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
-        f_cand = fun(cand.reshape(-1, u.shape[1])).reshape(steps.shape)
-        ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
-        rung = np.argmax(ok, axis=1)  # first accepted step of each row
-        hit = ok[np.arange(pending.size), rung]
-        rows, rung = pending[hit], rung[hit]
-        u_new[rows] = cand[hit, rung]
-        f_new[rows] = f_cand[hit, rung]
-        step[rows] = steps[hit, rung]
-        found[rows] = True
-        pending = pending[~hit]
-        j += span
-    return u_new, f_new, step, found
-
-
 def _descend(inst, u0, params, opts, traces=None):
     """Annealed smoothing descent at fixed t for a (k, n) block of starts.
 
@@ -279,7 +236,7 @@ def _descend(inst, u0, params, opts, traces=None):
     for i, eps in enumerate(rounds):
         tol = opts.grad_tol if i == len(rounds) - 1 else max(opts.grad_tol, eps)
 
-        def fun(x):
+        def fun(x, rows=None):  # rows: _armijo's candidate row indices, unused here
             return smooth_objective(inst, x, params, eps)
 
         # The rows still iterating in this round, compacted: row i of x, f,
@@ -406,19 +363,17 @@ def polish_on_support(inst: Instance, u, support, tol: float = 1e-12):
     if not support:
         raise ValueError("support must be nonempty")
     u = np.asarray(u, dtype=float).reshape(-1)
-    x, status = reduced_newton(semi_symmetric_instance(inst), support, u[support], tol=tol)
+    on = np.zeros(u.size, dtype=bool)
+    on[support] = True
+    (u_new,), (status,) = reduced_newton(semi_symmetric_instance(inst), on[None], u[None], tol=tol)
     if status == "singular":
         return u.copy(), "singular"
     if status != "ok":
         return u.copy(), "not_converged"
-    u_new = np.zeros_like(u)
-    u_new[support] = x
-    if np.any(x < 0.0):
+    if np.any(u_new[on] < 0.0):
         return u.copy(), "negative"
     w = contract_m1(inst.tensor, u_new) + inst.q
-    off = np.ones(u.size, dtype=bool)
-    off[support] = False
-    if np.any(w[off] < -tol):
+    if np.any(w[~on] < -tol):
         return u.copy(), "negative"
     return u_new, "ok"
 
@@ -450,7 +405,7 @@ def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
     act = np.arange(len(x))  # rows still iterating
     diag = np.arange(inst.n)
 
-    def merit(y):
+    def merit(y, rows):  # rows: _armijo's candidate row indices, unused here
         return merit_fb(inst, y)
 
     for _ in range(_FB_ITERS):

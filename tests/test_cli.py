@@ -211,6 +211,33 @@ def test_oracle_least_element_infeasible_z(tmp_path):
     assert error.startswith("infeasible: row 0") and "\n" not in error
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--newton-starts", "0"],
+        ["--newton-starts", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "0"],
+        ["--max-card", "-2"],
+        ["--p-list", "2"],
+        ["--p-list", "0.5,abc"],
+    ],
+)
+def test_oracle_bad_option_exits_2_before_enumerating(tmp_path, capsys, monkeypatch, flags):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "oracle.json"
+    run(["gen", "--kind", "z_feasible", "--n", 4, "--m", 3, "--seed", 3, "-o", inst_path])
+
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("enumerated despite a bad option")
+
+    monkeypatch.setattr(sparse_tcp.cli, "brute_force_sparse", enumerate_anyway)
+    assert run(["oracle", inst_path, *flags, "-o", report_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not report_path.exists()
+
+
 def test_oracle_guard_large_n(tmp_path):
     inst_path = tmp_path / "big.json"
     save_instance(gen_instance("diagonal", 9, 2, 0), inst_path)

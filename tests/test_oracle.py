@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_tcp import (
     Instance,
@@ -21,7 +23,7 @@ from sparse_tcp import (
     verify_solution,
 )
 from sparse_tcp import oracle
-from sparse_tcp.oracle import LeastElementOptions, OracleResult, _restrict, reduced_newton
+from sparse_tcp.oracle import LeastElementOptions, OracleResult, reduced_newton
 from sparse_tcp.tensors import (
     DenseTensor,
     ResidualReport,
@@ -137,6 +139,23 @@ def test_brute_force_guard():
         brute_force_sparse(inst)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("newton_starts", 0),
+        ("newton_iters", 0),
+        ("max_card", -1),
+        ("tol", float("nan")),
+        ("newton_tol", 0.0),
+        ("dedup_tol", float("inf")),
+        ("tol_zero", -1e-9),
+    ],
+)
+def test_oracle_options_reject_bad_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        OracleOptions(**{name: value})
+
+
 def test_brute_force_early_exit_not_exhaustive():
     inst, _, _ = gen_z_feasible(4, 3, 11, card=1)
     result = brute_force_sparse(inst)
@@ -144,7 +163,42 @@ def test_brute_force_early_exit_not_exhaustive():
     assert not result.exhaustive
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "z_feasible"]),
+    n=st.integers(2, 4),
+    m=st.integers(2, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_brute_force_properties(kind, n, m, seed):
+    # every reported solution verifies, the list is sorted and deduplicated,
+    # and the early exit returns the exhaustive run's sparsest entries
+    inst = gen_instance(kind, n, m, seed)
+    opts = OracleOptions(exhaustive=True, seed=seed)
+    full = brute_force_sparse(inst, opts)
+    for u, support, _ in full.solutions:
+        assert verify_solution(inst, u, opts.tol)[1]
+    keys = [(len(sup), tuple(u)) for u, sup, _ in full.solutions]
+    assert keys == sorted(keys)
+    for (u, _, _), (v, _, _) in itertools.combinations(full.solutions, 2):
+        assert np.max(np.abs(u - v)) >= opts.dedup_tol
+    early = brute_force_sparse(inst, OracleOptions(seed=seed))
+    assert early.min_card == full.min_card
+    sparsest = [entry for entry in full.solutions if len(entry[1]) <= (full.min_card or 0)]
+    assert len(early.solutions) == len(sparsest)
+    for (u, sup, _), (v, sup_full, _) in zip(early.solutions, sparsest):
+        assert sup == sup_full
+        np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+
+
 # -- reduced_newton ------------------------------------------------------------
+
+
+def _restrict(inst, support):
+    """Sub-tensor and sub-vector over the support: the square system of the reference."""
+    support = list(support)
+    arr = inst.tensor.as_array()[np.ix_(*([support] * inst.m))]
+    return DenseTensor(inst.m, len(support), arr.reshape(-1)), inst.q[support]
 
 
 def halving_newton(inst, support, x, iters=60, tol=1e-12):
@@ -180,62 +234,78 @@ def halving_newton(inst, support, x, iters=60, tol=1e-12):
     return x, "ok" if np.max(np.abs(g)) <= tol else "stalled"
 
 
+def support_batch(n, supports, starts, rng):
+    """(mask, x0): `starts` rows per support, drawn as the enumeration draws them."""
+    mask = np.zeros((starts * len(supports), n), dtype=bool)
+    x0 = np.zeros(mask.shape)
+    for i, support in enumerate(supports):
+        rows = slice(starts * i, starts * (i + 1))
+        mask[rows, list(support)] = True
+        x0[rows, list(support)] = rng.uniform(0.05, 2.0, (starts, len(support)))
+    return mask, x0
+
+
 def test_reduced_newton_batch_matches_single_starts():
-    # every support of planted instances, 20 starts each: a batch gives every
-    # start the status and root it gets alone and under the scalar reference
-    # (some m = 4 starts leave by the 8-step stale rule)
+    # every support of planted instances, 20 starts each: one batch per
+    # support and one batch over all supports give every start the status
+    # and root it gets alone and under the scalar reference (some m = 4 starts
+    # leave by the 8-step stale rule), and every row stays 0 off its support
     statuses = set()
     for n, m, seed in ((3, 3, 0), (4, 3, 1), (5, 3, 2), (4, 4, 1)):
         inst, _, _ = gen_z_feasible(n, m, seed)
-        rng = np.random.default_rng(seed)
-        for size in range(1, n + 1):
-            for support in itertools.combinations(range(n), size):
-                x0 = rng.uniform(0.05, 2.0, (20, size))
-                xs, batch = reduced_newton(inst, support, x0)
-                assert type(batch) is tuple and all(type(s) is str for s in batch)
-                for x_b, status_b, start in zip(xs, batch, x0):
-                    for x, status in (
-                        reduced_newton(inst, support, start),
-                        halving_newton(inst, support, start),
-                    ):
-                        assert status == status_b
-                        if status == "ok":
-                            np.testing.assert_allclose(x_b, x, rtol=0, atol=1e-12)
-                statuses.update(batch)
+        supports = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+        mask, x0 = support_batch(n, supports, 20, np.random.default_rng(seed))
+        xs_all, batch_all = reduced_newton(inst, mask, x0)
+        assert type(batch_all) is tuple and all(type(s) is str for s in batch_all)
+        np.testing.assert_array_equal(xs_all[~mask], 0.0)
+        for i, support in enumerate(supports):
+            rows = slice(20 * i, 20 * (i + 1))
+            xs, batch = reduced_newton(inst, mask[rows], x0[rows])
+            assert batch == batch_all[rows]
+            for r in range(rows.start, rows.stop):
+                one, (status_one,) = reduced_newton(inst, mask[r : r + 1], x0[r : r + 1])
+                ref, status_ref = halving_newton(inst, support, x0[r, list(support)])
+                assert status_one == status_ref == batch_all[r]
+                np.testing.assert_array_equal(one[0][~mask[r]], 0.0)
+                if status_ref == "ok":
+                    for x in (xs_all[r], xs[r - rows.start], one[0]):
+                        np.testing.assert_allclose(x[list(support)], ref, rtol=0, atol=1e-12)
+        statuses.update(batch_all)
     assert statuses == {"ok", "stalled"}
 
 
 def test_reduced_newton_singular_start_stays_alone():
-    # at x = 0 the m = 3 Jacobian 2 * contract_m2(A, 0) vanishes
+    # at x = 0 the m = 3 Jacobian 2 * contract_m2(A, 0) vanishes; the starts'
+    # entries off the support (column 1) are ignored
     inst, _, _ = gen_z_feasible(4, 3, 5)
-    support = (0, 2, 3)
-    x0 = np.array([[0.7, 1.1, 0.4], [0.0, 0.0, 0.0], [1.5, 0.3, 0.9]])
-    xs, statuses = reduced_newton(inst, support, x0)
+    mask = np.tile([True, False, True, True], (3, 1))
+    x0 = np.array([[0.7, 5.0, 1.1, 0.4], [0.0, 5.0, 0.0, 0.0], [1.5, 5.0, 0.3, 0.9]])
+    xs, statuses = reduced_newton(inst, mask, x0)
     assert statuses[1] == "singular"
     assert "singular" not in (statuses[0], statuses[2])
-    np.testing.assert_array_equal(xs[1], np.zeros(3))
+    np.testing.assert_array_equal(xs[1], np.zeros(4))
+    np.testing.assert_array_equal(xs[:, 1], 0.0)
     for i in range(3):
-        assert reduced_newton(inst, support, x0[i])[1] == statuses[i]
+        assert reduced_newton(inst, mask[i : i + 1], x0[i : i + 1])[1] == (statuses[i],)
 
 
 def test_reduced_newton_ladder_row_blocks(monkeypatch):
-    # a one-row block cap forces one contraction per ladder rung and start;
-    # the accepted steps, and so the statuses and roots, stay the same
+    # a one-row block cap forces one contraction per row, ladder rung and
+    # start; the accepted steps, and so the statuses and roots, stay the same
     inst, _, _ = gen_z_feasible(5, 3, 2)  # planted support (0, 1)
-    x0 = np.random.default_rng(3).uniform(0.05, 2.0, (20, 2))
-    runs = [reduced_newton(inst, (0, 1), x0), reduced_newton(inst, (0, 2), x0)]
-    monkeypatch.setattr(oracle, "LADDER_BLOCK_ENTRIES", 1)
-    for support, (xs, statuses) in zip(((0, 1), (0, 2)), runs):
-        xs_b, statuses_b = reduced_newton(inst, support, x0)
-        assert statuses_b == statuses
-        np.testing.assert_allclose(xs_b, xs, rtol=0, atol=1e-12)
-    assert {runs[0][1][0], runs[1][1][0]} == {"ok", "stalled"}
+    mask, x0 = support_batch(5, [(0, 1), (0, 2)], 20, np.random.default_rng(3))
+    xs, statuses = reduced_newton(inst, mask, x0)
+    monkeypatch.setattr(oracle, "_LADDER_ENTRIES", 1)
+    xs_b, statuses_b = reduced_newton(inst, mask, x0)
+    assert statuses_b == statuses
+    np.testing.assert_allclose(xs_b, xs, rtol=0, atol=1e-12)
+    assert {statuses[0], statuses[20]} == {"ok", "stalled"}
 
 
 def test_reduced_newton_empty_batch():
     inst, _, _ = gen_z_feasible(3, 3, 0)
-    xs, statuses = reduced_newton(inst, (0, 1), np.zeros((0, 2)))
-    assert xs.shape == (0, 2) and statuses == ()
+    xs, statuses = reduced_newton(inst, np.zeros((0, 3), dtype=bool), np.zeros((0, 3)))
+    assert xs.shape == (0, 3) and statuses == ()
 
 
 # -- minimal_lp_select ----------------------------------------------------------

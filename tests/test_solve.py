@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparse_tcp.solve as solve_mod
+import sparse_tcp.oracle as oracle
 from sparse_tcp import (
     BoundInputs,
     DivergedError,
@@ -162,13 +163,13 @@ def descend_one_start(inst, u, params, opts):
     return u, f_rounds
 
 
-@pytest.mark.parametrize("ladder_entries", [solve_mod._LADDER_ENTRIES, 1])
+@pytest.mark.parametrize("ladder_entries", [oracle._LADDER_ENTRIES, 1])
 def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
     # rows of a batch follow their own BB steps, Armijo tests (about one in
     # three steps backtracks here) and exits.  The kernels round batches
     # differently in the last bits and BB steps amplify that with every
     # iteration, so the runs are short and the tolerance is a few ulps of it
-    monkeypatch.setattr(solve_mod, "_LADDER_ENTRIES", ladder_entries)
+    monkeypatch.setattr(oracle, "_LADDER_ENTRIES", ladder_entries)
     rng = np.random.default_rng(5)
     opts = SolveOptions(max_outer=3, max_inner=8)
     params = ObjectiveParams(t=0.05, p=0.5)
