@@ -5,8 +5,9 @@ cardinality, and the minimal-l_p selection: every support's seeded starts
 become rows of one masked damped-Newton batch on the full tensor, with each
 row's support as a mask instead of a sub-tensor.  On Z-tensor instances a
 monotone Jacobi iteration from u = 0, finished by one reduced Newton solve,
-computes the least element of the feasible set, which is a sparsest solution;
-it is cross-checked against the enumeration.
+computes the least element of the feasible set, which is a sparsest solution.
+Its sparsity needs no enumeration: the iterates lie below every feasible point,
+so every entry of the result above NEWTON_REACH is nonzero in every solution.
 """
 
 from __future__ import annotations
@@ -417,8 +418,8 @@ FIXED_POINT_RTOL = 1e-14
 @dataclass
 class LeastElementOptions:
     tol: float = 1e-8
-    seed: int = 0
-    support_tol: float = 1e-6
+    seed: int = 0  # read by nothing (the iteration draws no random numbers); kept for callers
+    support_tol: float = NEWTON_REACH  # entries above it are in every solution's support
 
 
 def _monotone_least(inst: Instance, tol: float) -> np.ndarray:
@@ -471,44 +472,29 @@ def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np
     Write w = A u^{m-1} + q as a_ii u_i^{m-1} - r_i(u).  The off-diagonal
     entries are <= 0, so r_i rises with u >= 0, the step
     T(u)_i = (max(0, r_i(u)) / a_ii)^(1/(m-1)) is monotone, and T(v) <= v at
-    every feasible v.  The iterates from u = 0 therefore rise, stay below every
-    feasible point, and converge to the least element: a TCP solution and a
-    sparsest one.  The iteration ends at a verified fixed point (to rounding),
-    or earlier through one reduced Newton solve on each support that repeats:
-    a root that verifies at opts.tol is a feasible point, so it lies at or
-    above the least element, and it is returned once the iterate, which lies
-    below, comes within NEWTON_REACH of it (at or above to opts.tol).  The
-    result is cross-checked against the support enumeration: the least element
-    must be a minimal-cardinality solution.
+    every feasible v.  The iterates u_k from u = 0 therefore rise, stay below
+    every feasible point, and converge to the least element: a TCP solution
+    and a sparsest one.  The iteration ends at a verified fixed point (to
+    rounding), the limit of the iterates, or earlier through one reduced
+    Newton solve on each support that repeats: a root that verifies at
+    opts.tol is a feasible point, so it lies at or above the least element,
+    and it is returned once the iterate, which lies below, comes within
+    NEWTON_REACH of it (at or above to opts.tol).
+
+    The result is a sparsest solution without a support enumeration.  Every
+    iterate u_k lies below every feasible v.  A fixed-point return is the
+    last iterate, so each of its positive entries is positive in every
+    solution.  A Newton return satisfies upper <= u_k + NEWTON_REACH, so each
+    of its entries above opts.support_tol = NEWTON_REACH has u_k > 0 and lies
+    inside the support of every solution.  Either way its cardinality at
+    opts.support_tol is at most that of any solution.
 
     Raises ValueError when the instance is not a Z-tensor or has no feasible
     point, shown by a row with a_ii <= 0 whose r_i exceeds opts.tol or by
     non-finite (unbounded) iterates, and RuntimeError after
-    LEAST_ELEMENT_MAX_STEPS steps or when the cross-check fails.
+    LEAST_ELEMENT_MAX_STEPS steps.
     """
     opts = opts or LeastElementOptions()
     if not is_z_tensor(inst.tensor):
         raise ValueError("not a Z-tensor: least element is not guaranteed to exist")
-    best = _monotone_least(inst, opts.tol)
-
-    bf = brute_force_sparse(
-        inst, OracleOptions(seed=opts.seed, tol=opts.tol, newton_starts=20)
-    )
-    if bf.min_card is None:
-        raise RuntimeError("least-element cross-check failed: enumeration found no solution")
-    best_support = tuple(int(i) for i in np.flatnonzero(np.abs(best) > opts.support_tol))
-    if len(best_support) != bf.min_card:
-        raise RuntimeError(
-            "least-element cross-check failed: least-element support size "
-            f"{len(best_support)} != enumerated minimal cardinality {bf.min_card}"
-        )
-    matched = any(
-        sup == best_support and float(np.max(np.abs(u - best))) < 1e-6
-        for u, sup, _ in bf.solutions
-    )
-    if not matched:
-        raise RuntimeError(
-            "least-element cross-check failed: no enumerated minimal-cardinality "
-            "solution matches the least-element candidate"
-        )
-    return best
+    return _monotone_least(inst, opts.tol)

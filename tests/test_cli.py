@@ -211,6 +211,46 @@ def test_oracle_least_element_infeasible_z(tmp_path):
     assert error.startswith("infeasible: row 0") and "\n" not in error
 
 
+def test_oracle_z_instance_enumerates_once(tmp_path, monkeypatch):
+    # the least element needs no enumeration of its own
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "oracle.json"
+    run(["gen", "--kind", "z_feasible", "--n", 4, "--m", 3, "--seed", 3, "-o", inst_path])
+    calls = []
+    enumerate_ = sparse_tcp.cli.brute_force_sparse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_tcp.cli, "brute_force_sparse", counted)
+    monkeypatch.setattr(sparse_tcp.oracle, "brute_force_sparse", counted)
+    assert run(["oracle", inst_path, "-o", report_path, "--no-timestamp"]) == 0
+    result = json.loads(report_path.read_text())["result"]
+    assert result["least_element"] is not None
+    assert len(calls) == 1
+
+
+def test_oracle_nonexhaustive_run_is_quiet(tmp_path):
+    """A successful default `oracle` run writes nothing to stderr.
+
+    Without --exhaustive the minimal-l_p selection is approximate; the
+    report's "exhaustive": false says so instead of a warning.
+    """
+    package_root = str(Path(sparse_tcp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    cli = [sys.executable, "-m", "sparse_tcp"]
+    gen = ["gen", "--kind", "z_feasible", "--n", "4", "--m", "3", "--seed", "3", "-o", "inst.json"]
+    for argv in (cli + gen, cli + ["oracle", "inst.json"]):
+        proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+    result = json.loads(proc.stdout)["result"]
+    assert result["exhaustive"] is False
+    assert "0.5" in result["minimal_lp"]
+
+
 @pytest.mark.parametrize(
     "flags",
     [

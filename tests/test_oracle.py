@@ -13,6 +13,7 @@ from sparse_tcp import (
     Instance,
     OracleOptions,
     brute_force_sparse,
+    card,
     gen_instance,
     gen_z_feasible,
     identity_tensor,
@@ -445,6 +446,68 @@ def test_least_element_coupled_family():
     assert solvable >= 20
     assert correct == solvable
     assert returned_unsolvable == 0
+
+
+def test_least_element_runs_no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("least_element enumerated supports")
+
+    monkeypatch.setattr(oracle, "brute_force_sparse", refuse)
+    inst, v, _ = gen_z_feasible(5, 3, 14)
+    np.testing.assert_allclose(least_element(inst), v, atol=1e-10)
+
+
+def assert_least_element_is_sparsest(inst, seed):
+    """Whenever least_element returns, it verifies, lies below every
+    enumerated solution, and its card at support_tol is the minimal one.
+
+    Returns the exhaustive enumeration, and the least element or None when
+    least_element raised.  An enumeration that found no solution at all has
+    no minimal card to compare with (see the enumeration miss below).
+    """
+    result = brute_force_sparse(inst, OracleOptions(exhaustive=True, seed=seed))
+    opts = LeastElementOptions(seed=seed)
+    try:
+        le = least_element(inst, opts)
+    except (ValueError, RuntimeError):
+        return result, None
+    assert verify_solution(inst, le, 1e-8)[1]
+    for u, _, _ in result.solutions:
+        assert np.all(le <= u + 1e-8)
+    if result.solutions:
+        assert card(le, opts.support_tol) == result.min_card
+    return result, le
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 5), seed=st.integers(0, 10_000))
+def test_least_element_is_sparsest_on_planted(n, seed):
+    inst, v, support = gen_z_feasible(n, 3, seed)
+    result, le = assert_least_element_is_sparsest(inst, seed)
+    assert result.min_card == len(support)
+    np.testing.assert_allclose(le, v, atol=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_least_element_is_sparsest_on_coupled(seed):
+    assert_least_element_is_sparsest(coupled_z_instance(seed), seed)
+
+
+def test_least_element_where_the_enumeration_misses_it():
+    inst = coupled_z_instance(713)
+    le = least_element(inst)
+    assert verify_solution(inst, le, 1e-8)[1]
+    assert card(le, LeastElementOptions().support_tol) == 4
+
+
+@pytest.mark.xfail(strict=True, reason="20 starts in (0.05, 2) miss the full support's root")
+def test_enumeration_finds_the_least_element_of_coupled_713():
+    # the nonnegative root (2.05, 2.13, 2.33, 2.85) of the full support has a
+    # small Newton basin; every start lands on a root with a negative entry
+    # or stalls, so the exhaustive enumeration reports no solution
+    result = brute_force_sparse(coupled_z_instance(713), OracleOptions(exhaustive=True, seed=713))
+    assert result.min_card == 4
 
 
 def z_matrix_instance(rows, q):
