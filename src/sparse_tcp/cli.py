@@ -82,9 +82,13 @@ def _solve_options(args) -> SolveOptions:
 def _add_solver_flags(sp) -> None:
     # the defaults are read off SolveOptions(), so flags and library cannot drift apart
     default = SolveOptions()
-    sp.add_argument("--t0", type=float, default=default.schedule.t0)
-    sp.add_argument("--factor", type=float, default=default.schedule.factor)
-    sp.add_argument("--steps", type=int, default=default.schedule.steps)
+    walk = "the t-steps are t_k = t0*factor^k, k < steps, the last one final"
+    sp.add_argument("--t0", type=float, default=default.schedule.t0,
+                    help=f"first regularization weight; {walk} (default %(default)s)")
+    sp.add_argument("--factor", type=float, default=default.schedule.factor,
+                    help=f"ratio of successive weights; {walk} (default %(default)s)")
+    sp.add_argument("--steps", type=int, default=default.schedule.steps,
+                    help=f"number of weights; {walk} (default %(default)s)")
     sp.add_argument("--p", type=float, default=default.params.p)
     for name in _SOLVER_FIELDS:
         value = getattr(default, name)

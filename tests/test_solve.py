@@ -341,15 +341,16 @@ def test_solve_diagonal_nonnegative_q_returns_zero():
 def test_solve_report_fields_and_floor():
     inst, v, support = gen_z_feasible(4, 3, 3)
     report = solve_sparse_tcp(inst, SolveOptions())
-    assert len(report.t_history) == 12
-    assert len(report.f_history) == 12
-    assert len(report.lp_history) == 12
+    assert len(report.t_history) == 2
+    assert len(report.f_history) == 2
+    assert len(report.lp_history) == 2
     assert len(report.per_start) == 5
     assert report.L_used is not None and report.L_used > 0
     assert report.L_statement is not None
     nz = np.abs(report.u_final[report.u_final != 0.0])
     assert np.all(nz >= report.L_used)
-    assert report.options["steps"] == 12
+    assert report.options["steps"] == 2
+    assert report.t_final == report.t_history[-1] == 0.1 * 0.5**11
 
 
 def test_solve_nonzero_count_bound():
@@ -417,7 +418,7 @@ def test_solve_example_instance_reports_without_solution():
 
     report = solve_sparse_tcp(example_instance(), SolveOptions(starts=2))
     assert not report.converged
-    assert len(report.t_history) == 12
+    assert len(report.t_history) == 2
     assert report.residuals.fb_norm > 0
 
 

@@ -190,15 +190,28 @@ def test_single_vector_kernels_are_bit_exact_flat_products():
                 np.testing.assert_array_equal(contract_m2(A, u), cube @ kron_flat(u, m - 2))
 
 
-def test_homogeneity_in_u():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        A = random_tensor(3, 3, rng)
-        u = rng.uniform(-1.0, 1.0, 3)
-        alpha = rng.uniform(0.0, 3.0)
-        lhs = contract_m1(A, alpha * u)
-        rhs = alpha ** (A.m - 1) * contract_m1(A, u)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+def term_scale(A, u):
+    """|A| |u|^(m-1): the size of the terms a contraction sums, which bounds
+    its rounding error even where the terms cancel."""
+    return contract_m1(DenseTensor(A.m, A.n, np.abs(A.entries)), np.abs(u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(2, 4),
+    c=st.just(0.0) | st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_homogeneity_in_u(n, m, c, seed):
+    # contract_m1(A, c u) = c^(m-1) contract_m1(A, u), negative c included
+    rng = np.random.default_rng(seed)
+    A = random_tensor(n, m, rng)
+    u = rng.uniform(-1.0, 1.0, n)
+    lhs = contract_m1(A, c * u)
+    rhs = c ** (m - 1) * contract_m1(A, u)
+    atol = 1e-13 * abs(c) ** (m - 1) * term_scale(A, u).max()
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=atol)
 
 
 # -- semi-symmetrization -------------------------------------------------------
@@ -220,14 +233,16 @@ def test_semi_symmetrize_two_permutation_average():
     assert barr[0, 1, 0] == 1.0
 
 
-def test_semi_symmetrize_preserves_contraction_and_idempotent():
-    rng = np.random.default_rng(13)
-    A = random_tensor(3, 4, rng)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_semi_symmetrize_preserves_contraction_and_idempotent(n, m, seed):
+    rng = np.random.default_rng(seed)
+    A = random_tensor(n, m, rng)
     B = semi_symmetrize(A)
     assert B.semi_symmetric()
-    for _ in range(100):
-        u = rng.uniform(-2.0, 2.0, 3)
-        np.testing.assert_allclose(contract_m1(A, u), contract_m1(B, u), atol=1e-12)
+    for u in rng.uniform(-2.0, 2.0, (10, n)):
+        atol = 1e-13 * term_scale(A, u).max()
+        np.testing.assert_allclose(contract_m1(A, u), contract_m1(B, u), rtol=1e-12, atol=atol)
     C = semi_symmetrize(B)
     np.testing.assert_allclose(B.entries, C.entries, atol=1e-15)
 
@@ -360,6 +375,24 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "inst2.json"
     save_instance(back, path2)
     assert path.read_text().replace(inst.label, "") == path2.read_text().replace(inst.label, "")
+
+
+doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(2, 3), label=st.text(max_size=12), data=st.data())
+def test_save_load_round_trip_is_bit_exact(tmp_path_factory, n, m, label, data):
+    # any finite doubles, -0.0, subnormals and extremes included
+    entries = np.array(data.draw(st.lists(doubles, min_size=n**m, max_size=n**m)))
+    q = np.array(data.draw(st.lists(doubles, min_size=n, max_size=n)))
+    inst = Instance(DenseTensor(m, n, entries), q, label=label)
+    path = tmp_path_factory.mktemp("round_trip") / "inst.json"
+    save_instance(inst, path)
+    back = load_instance(path)
+    assert (back.m, back.n, back.label) == (m, n, label)
+    assert back.tensor.entries.tobytes() == entries.tobytes()
+    assert back.q.tobytes() == q.tobytes()
 
 
 def test_load_malformed_json(tmp_path):
