@@ -88,7 +88,9 @@ def _add_solver_flags(sp) -> None:
     sp.add_argument("--factor", type=float, default=default.schedule.factor,
                     help=f"ratio of successive weights; {walk} (default %(default)s)")
     sp.add_argument("--steps", type=int, default=default.schedule.steps,
-                    help=f"number of weights; {walk} (default %(default)s)")
+                    help=f"number of weights; {walk} (default %(default)s); with the "
+                    "default factor each extra step divides t by another 2^11, so a "
+                    "longer halving walk needs --factor 0.5 as well")
     sp.add_argument("--p", type=float, default=default.params.p)
     for name in _SOLVER_FIELDS:
         value = getattr(default, name)
