@@ -3,11 +3,14 @@
 Support enumeration gives the full verified solution list, the minimal
 cardinality, and the minimal-l_p selection: every support's seeded starts
 become rows of one masked damped-Newton batch on the full tensor, with each
-row's support as a mask instead of a sub-tensor.  On Z-tensor instances a
-monotone Jacobi iteration from u = 0, finished by one reduced Newton solve,
-computes the least element of the feasible set, which is a sparsest solution.
-Its sparsity needs no enumeration: the iterates lie below every feasible point,
-so every entry of the result above NEWTON_REACH is nonzero in every solution.
+row's support as a mask instead of a sub-tensor.  Along a Newton direction
+the residual is a polynomial in the step length, so one contract_line call
+gives in closed form the step a halving loop would take.  On Z-tensor
+instances a monotone Jacobi iteration from u = 0, finished by one reduced
+Newton solve, computes the least element of the feasible set, which is a
+sparsest solution.  Its sparsity needs no enumeration: the iterates lie below
+every feasible point, so every entry of the result above NEWTON_REACH is
+nonzero in every solution.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .regpath import lp_norm_p, q_tilde
 from .tensors import (
     Instance,
     ResidualReport,
+    contract_line,
     contract_m1,
     contract_m2,
     is_z_tensor,
@@ -110,10 +114,10 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
     return report, passed
 
 
-# Cap on the Kronecker entries (rows times n^(m-1)) of one contraction over a
-# block of rows, about 0.5 MB: for n <= 5 and m = 3 a whole enumeration batch
-# or step-length ladder is one call, while larger batches and tensors take it
-# in row blocks (and a ladder stops at the first block that settles every row).
+# Cap on the Kronecker entries (rows times n^(m-1), m times that for contract_line) of
+# one contraction over a block of rows, about 0.5 MB: for n <= 5 and m = 3 a whole
+# enumeration batch or Armijo ladder is one call, while larger batches and tensors take
+# it in row blocks (and a ladder stops at the first block that settles every row).
 _LADDER_ENTRIES = 2**16
 
 
@@ -121,14 +125,13 @@ def _rows_per_call(inst: Instance) -> int:
     return max(1, _LADDER_ENTRIES // inst.n ** (inst.m - 1))
 
 
-def _in_blocks(inst: Instance, fun, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """fun(x, rows) over row blocks of x under the _LADDER_ENTRIES cap, concatenated."""
+def _in_blocks(inst: Instance, fun, x: np.ndarray, *cols: np.ndarray) -> np.ndarray:
+    """fun(x, *cols) over row blocks of x and cols under the _LADDER_ENTRIES cap, concatenated."""
     per_call = _rows_per_call(inst)
     if len(x) <= per_call:
-        return fun(x, rows)
-    return np.concatenate(
-        [fun(x[i : i + per_call], rows[i : i + per_call]) for i in range(0, len(x), per_call)]
-    )
+        return fun(x, *cols)
+    blocks = [slice(i, i + per_call) for i in range(0, len(x), per_call)]
+    return np.concatenate([fun(x[b], *(c[b] for c in cols)) for b in blocks])
 
 
 def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -150,16 +153,17 @@ def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
 
     Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
     fun value is at most f_r - c * step * slope_r (a NaN value never is): the
-    step a backtracking loop would accept.  fun(x, rows) takes candidate
-    points x and, for each, the index of the row of u it belongs to.  The
-    full steps are evaluated first; the rows that reject theirs evaluate the
-    ladder of shorter steps, stopping after the span of steps in which every
-    row found its step.  Every fun call gets rows of at most _LADDER_ENTRIES
+    step a backtracking loop would accept.  fun(x) maps a block of candidate
+    points to their values.  The solver's descent and _fb_newton use it;
+    reduced_newton finds its steps in closed form instead.  The full steps
+    are evaluated first; the rows that reject theirs evaluate the ladder of
+    shorter steps, stopping after the span of steps in which every row found
+    its step.  Every fun call gets rows of at most _LADDER_ENTRIES
     Kronecker entries in all, or one row.  Returns (u_new, f_new, step,
     found); rows with found False accepted no step and hold meaningless values.
     """
     u_new = u - alpha[:, None] * d
-    f_new = _in_blocks(inst, fun, u_new, np.arange(len(u)))
+    f_new = _in_blocks(inst, fun, u_new)
     found = f_new <= f - c * alpha * slope
     if found.all():
         return u_new, f_new, alpha, found
@@ -171,9 +175,7 @@ def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
         span = min(max(1, per_call // pending.size), tries - j)
         steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
         cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
-        f_cand = _in_blocks(
-            inst, fun, cand.reshape(-1, u.shape[1]), np.repeat(pending, span)
-        ).reshape(steps.shape)
+        f_cand = _in_blocks(inst, fun, cand.reshape(-1, u.shape[1])).reshape(steps.shape)
         ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
         rung = np.argmax(ok, axis=1)  # first accepted step of each row
         hit = ok[np.arange(pending.size), rung]
@@ -201,11 +203,14 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
     u -> A u^{m-1}.  Row r's residual is w = A x^{m-1} + q masked to S_r, and
     its Jacobian has the rows and columns off S_r replaced by the identity,
     so each Newton step solves the reduced system on S_r and is exactly 0 off
-    it.  A step is damped by halving from 1 until ||w|| falls to at most
-    (1 - step/2) times its value.  Each start stops on its own: "ok" once
-    max|w| <= tol, "singular" on a singular Jacobian or a non-finite step,
-    "stalled" when the line search fails or 8 steps in a row miss a 30% gain
-    on the best max|w|.  Returns (X, statuses): the (k, n) final rows,
+    it.  A step x - lam d takes the first lam of 1, 1/2, ..., 2^-39 with
+    ||w|| at most (1 - lam/2) times its value, the step a halving loop would
+    take, in closed form: w is a polynomial of degree m-1 in lam (from one
+    contract_line call), so ||w||^2 is the Gram form of its coefficients,
+    evaluated at all 40 lengths by one matmul.  Each start stops on its own:
+    "ok" once max|w| <= tol, "singular" on a singular Jacobian or a non-finite
+    step, "stalled" when no step length passes or 8 steps in a row miss a 30%
+    gain on the best max|w|.  Returns (X, statuses): the (k, n) final rows,
     exactly 0 off their supports, and a tuple of str in start order.
     """
     A, q, mfac = inst.tensor, inst.q, inst.m - 1
@@ -222,13 +227,12 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
     best = np.max(np.abs(g), axis=1)
     stale = np.zeros(len(x), dtype=int)
     act = np.arange(len(x))  # starts still iterating
+    lams = 0.5 ** np.arange(_NEWTON_TRIES)  # powers of 2, so each lam^(i+j) in pairs is exact
+    pairs = (lams[:, None] ** np.add.outer(np.arange(inst.m), np.arange(inst.m)).ravel()).T
 
     def stop(rows, reason):
         for r in rows:
             status[r] = reason
-
-    def norm(y, rows):  # rows index act
-        return np.linalg.norm(residual(y, act[rows]), axis=1)
 
     for _ in range(iters):
         done = np.max(np.abs(g[act]), axis=1) <= tol
@@ -241,12 +245,16 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
         singular = ~np.all(np.isfinite(step), axis=1)
         stop(act[singular], "singular")
         act, step = act[~singular], step[~singular]
-        base = np.linalg.norm(g[act], axis=1)
-        x_new, _, _, found = _armijo(
-            inst, norm, x[act], base, step, base, np.ones(act.size), 0.5, 0.5, _NEWTON_TRIES
-        )
-        act = act[found]  # the rest stalled: no step length was accepted
-        x[act] = x_new[found]
+        coef = _in_blocks(inst, lambda y, d: contract_line(A, y, d), x[act], -step)
+        coef[:, 0] += q
+        coef = np.where(mask[act, None], coef, 0.0)
+        gram = coef @ coef.swapaxes(1, 2)  # ||w(x - lam d)||^2 = sum_ij gram_ij lam^(i+j)
+        norm2 = gram.reshape(act.size, len(pairs)) @ pairs
+        ok = np.isfinite(norm2) & (norm2 <= (1.0 - 0.5 * lams) ** 2 * gram[:, :1, 0])
+        rung = np.argmax(ok, axis=1)  # first accepted step of each row
+        found = ok.any(axis=1)
+        act, step, lam = act[found], step[found], lams[rung[found]]  # the rest stalled
+        x[act] = x[act] - lam[:, None] * step
         g[act] = _in_blocks(inst, residual, x[act], act)
         gn = np.max(np.abs(g[act]), axis=1)
         gained = gn < 0.7 * best[act]

@@ -249,7 +249,7 @@ def _descend(inst, u0, params, opts, traces=None):
     for i, eps in enumerate(rounds):
         tol = opts.grad_tol if i == len(rounds) - 1 else max(opts.grad_tol, eps)
 
-        def fun(x, rows=None):  # rows: _armijo's candidate row indices, unused here
+        def fun(x):
             return smooth_objective(inst, x, params, eps)
 
         # The rows still iterating in this round, compacted: row i of x, f,
@@ -418,9 +418,6 @@ def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
     act = np.arange(len(x))  # rows still iterating
     diag = np.arange(inst.n)
 
-    def merit(y, rows):  # rows: _armijo's candidate row indices, unused here
-        return merit_fb(inst, y)
-
     for _ in range(_FB_ITERS):
         if not act.size:
             break
@@ -433,7 +430,7 @@ def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
         psi = 0.5 * np.sum(phi * phi, axis=1)
         # along -step the slope of psi is -||Phi||^2 = -2 psi
         x_new, _, _, found = _armijo(
-            inst, merit, x[act], psi, step, 2.0 * psi, np.ones(act.size),
+            inst, lambda y: merit_fb(inst, y), x[act], psi, step, 2.0 * psi, np.ones(act.size),
             opts.armijo_c, 0.5, _FB_TRIES,
         )
         act = act[found]

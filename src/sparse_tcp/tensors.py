@@ -158,6 +158,17 @@ def _kron_power(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _kron_line(x: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """k-fold Kronecker power (k >= 1) of x + s d by powers of s: (n, ...) -> (n^k, k+1, ...)."""
+    out = np.stack([x, d], axis=1)
+    for _ in range(k - 1):
+        nxt = np.zeros((out.shape[0], x.shape[0], out.shape[1] + 1) + x.shape[1:])
+        nxt[:, :, :-1] = out[:, None] * x[:, None]
+        nxt[:, :, 1:] += out[:, None] * d[:, None]
+        out = nxt.reshape((len(out) * len(x),) + nxt.shape[2:])
+    return out
+
+
 def contract_m1(A: DenseTensor, u) -> np.ndarray:
     """(A u^{m-1})_i = sum over i2..im of a_{i,i2,..,im} * u_{i2} * ... * u_{im}.
 
@@ -167,6 +178,20 @@ def contract_m1(A: DenseTensor, u) -> np.ndarray:
     u = _check_dim(A, u)
     mat = A.entries.reshape(A.n, A.n ** (A.m - 1))
     return (mat @ _kron_power(u.T, A.m - 1)).T
+
+
+def contract_line(A: DenseTensor, x, d) -> np.ndarray:
+    """Coefficients of A (x + s d)^{m-1} as a polynomial in s, for any tensor.
+
+    x and d are one vector of length n or (k, n) batches of rows.  Entry j of
+    the result (axis -2) is the coefficient vector of s^j, j = 0 .. m-1: an
+    (m, n) array for one vector, (k, m, n) for a batch.
+    """
+    x, d = _check_dim(A, x), _check_dim(A, d)
+    mat = A.entries.reshape(A.n, A.n ** (A.m - 1))
+    # contiguous columns: the broadcasts then run along rows, several times faster
+    kron = _kron_line(np.ascontiguousarray(x.T), np.ascontiguousarray(d.T), A.m - 1)
+    return (mat @ kron.reshape(len(kron), kron[0].size)).reshape((A.n,) + kron.shape[1:]).T
 
 
 def contract_m2(A: DenseTensor, u) -> np.ndarray:

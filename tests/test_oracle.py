@@ -277,6 +277,27 @@ def test_reduced_newton_batch_matches_single_starts():
     assert statuses == {"ok", "stalled"}
 
 
+@pytest.mark.parametrize("n, m, seed", [(4, 2, 3), (3, 5, 4)])
+def test_reduced_newton_batch_matches_single_starts_at_degree_1_and_4(n, m, seed):
+    # the closed-form step search on residuals of degree m - 1 = 1 and 4: one
+    # batch over every support gives each start the status and root it gets
+    # alone and under the scalar halving reference
+    inst, _, _ = gen_z_feasible(n, m, seed)
+    supports = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+    mask, x0 = support_batch(n, supports, 20, np.random.default_rng(seed))
+    xs_all, batch_all = reduced_newton(inst, mask, x0)
+    np.testing.assert_array_equal(xs_all[~mask], 0.0)
+    for i, support in enumerate(supports):
+        for r in range(20 * i, 20 * (i + 1)):
+            one, (status_one,) = reduced_newton(inst, mask[r : r + 1], x0[r : r + 1])
+            ref, status_ref = halving_newton(inst, support, x0[r, list(support)])
+            assert status_one == status_ref == batch_all[r]
+            if status_ref == "ok":
+                for x in (xs_all[r], one[0]):
+                    np.testing.assert_allclose(x[list(support)], ref, rtol=0, atol=1e-12)
+    assert "ok" in batch_all
+
+
 def test_reduced_newton_singular_start_stays_alone():
     # at x = 0 the m = 3 Jacobian 2 * contract_m2(A, 0) vanishes; the starts'
     # entries off the support (column 1) are ignored
@@ -293,8 +314,9 @@ def test_reduced_newton_singular_start_stays_alone():
 
 
 def test_reduced_newton_ladder_row_blocks(monkeypatch):
-    # a one-row block cap forces one contraction per row, ladder rung and
-    # start; the accepted steps, and so the statuses and roots, stay the same
+    # a one-row block cap splits every residual and line coefficient
+    # contraction into one-row blocks; the accepted steps, and so the
+    # statuses and roots, stay the same
     inst, _, _ = gen_z_feasible(5, 3, 2)  # planted support (0, 1)
     mask, x0 = support_batch(5, [(0, 1), (0, 2)], 20, np.random.default_rng(3))
     xs, statuses = reduced_newton(inst, mask, x0)

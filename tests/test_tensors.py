@@ -30,6 +30,7 @@ from sparse_tcp.tensors import (
     MAX_TENSOR_ENTRIES,
     _check_size,
     _distinct_permutations,
+    contract_line,
     example_instance,
 )
 
@@ -188,6 +189,34 @@ def test_single_vector_kernels_are_bit_exact_flat_products():
             if m > 2:
                 cube = A.entries.reshape(n, n, n ** (m - 2))
                 np.testing.assert_array_equal(contract_m2(A, u), cube @ kron_flat(u, m - 2))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_contract_line_is_contract_m1_along_the_line(m):
+    # the coefficients of A (x + s d)^(m-1), summed at s, give contract_m1 at
+    # x + s d on a tensor that is not semi-symmetric (every m = 2 tensor is);
+    # a (k, n) batch gives row r's one-vector coefficients in row r, and the
+    # first and last coefficients are A x^(m-1) and A d^(m-1)
+    rng = np.random.default_rng(m)
+    n = 3
+    A = random_tensor(n, m, rng)
+    assert A.semi_symmetric() == (m == 2)
+    for shape in ((n,), (1, n), (4, n)):
+        x, d = rng.uniform(-2.0, 2.0, shape), rng.uniform(-2.0, 2.0, shape)
+        coef = contract_line(A, x, d)
+        assert coef.shape == shape[:-1] + (m, n)
+        for s in (0.0, 1.0, -0.5, 2.0**-20, 3.0):
+            value = np.einsum("...jn,j->...n", coef, s ** np.arange(m))
+            atol = 1e-13 * term_scale(A, np.abs(x) + abs(s) * np.abs(d)).max()
+            np.testing.assert_allclose(value, contract_m1(A, x + s * d), rtol=1e-12, atol=atol)
+        ends = np.stack([contract_m1(A, x), contract_m1(A, d)], axis=-2)
+        atol = 1e-13 * term_scale(A, np.abs(x) + np.abs(d)).max()
+        np.testing.assert_allclose(coef[..., [0, m - 1], :], ends, rtol=1e-12, atol=atol)
+        if len(shape) == 2:
+            for r in range(shape[0]):
+                np.testing.assert_allclose(
+                    coef[r], contract_line(A, x[r], d[r]), rtol=1e-12, atol=atol
+                )
 
 
 def term_scale(A, u):
