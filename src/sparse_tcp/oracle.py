@@ -5,10 +5,10 @@ cardinality, and the minimal-l_p selection: every support's seeded starts
 become rows of one masked damped-Newton batch on the full tensor, with each
 row's support as a mask instead of a sub-tensor.  Along a Newton direction
 the residual is a polynomial in the step length, so one contract_line call
-gives in closed form the step a halving loop would take.  On Z-tensor
-instances a monotone Jacobi iteration from u = 0, finished by one reduced
-Newton solve, computes the least element of the feasible set, which is a
-sparsest solution.  Its sparsity needs no enumeration: the iterates lie below
+gives in closed form the step a halving loop would take, up to rounding in
+the Gram form.  On Z-tensor instances a monotone Jacobi iteration from u = 0,
+finished by one reduced Newton solve, computes the least element of the
+feasible set, which is a sparsest solution.  Its sparsity needs no enumeration: the iterates lie below
 every feasible point, so every entry of the result above NEWTON_REACH is
 nonzero in every solution.
 """
@@ -114,20 +114,20 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
     return report, passed
 
 
-# Cap on the Kronecker entries (rows times n^(m-1), m times that for contract_line) of
-# one contraction over a block of rows, about 0.5 MB: for n <= 5 and m = 3 a whole
-# enumeration batch or Armijo ladder is one call, while larger batches and tensors take
-# it in row blocks (and a ladder stops at the first block that settles every row).
+# Cap on the Kronecker entries of one contraction over a block of rows, 0.5 MB (rows times
+# n^(m-1) times the terms per row: 1 for contract_m1, m for contract_line): for n <= 5 and
+# m = 3 a whole enumeration batch or Armijo ladder is one call, while larger batches and
+# tensors take it in row blocks (and a ladder stops at the first block that settles every row).
 _LADDER_ENTRIES = 2**16
 
 
-def _rows_per_call(inst: Instance) -> int:
-    return max(1, _LADDER_ENTRIES // inst.n ** (inst.m - 1))
+def _rows_per_call(inst: Instance, terms: int = 1) -> int:
+    return max(1, _LADDER_ENTRIES // (terms * inst.n ** (inst.m - 1)))
 
 
-def _in_blocks(inst: Instance, fun, x: np.ndarray, *cols: np.ndarray) -> np.ndarray:
+def _in_blocks(inst: Instance, fun, x: np.ndarray, *cols: np.ndarray, terms: int = 1):
     """fun(x, *cols) over row blocks of x and cols under the _LADDER_ENTRIES cap, concatenated."""
-    per_call = _rows_per_call(inst)
+    per_call = _rows_per_call(inst, terms)
     if len(x) <= per_call:
         return fun(x, *cols)
     blocks = [slice(i, i + per_call) for i in range(0, len(x), per_call)]
@@ -205,7 +205,7 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
     so each Newton step solves the reduced system on S_r and is exactly 0 off
     it.  A step x - lam d takes the first lam of 1, 1/2, ..., 2^-39 with
     ||w|| at most (1 - lam/2) times its value, the step a halving loop would
-    take, in closed form: w is a polynomial of degree m-1 in lam (from one
+    take up to rounding in the Gram form: w is a polynomial of degree m-1 in lam (from one
     contract_line call), so ||w||^2 is the Gram form of its coefficients,
     evaluated at all 40 lengths by one matmul.  Each start stops on its own:
     "ok" once max|w| <= tol, "singular" on a singular Jacobian or a non-finite
@@ -245,7 +245,7 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
         singular = ~np.all(np.isfinite(step), axis=1)
         stop(act[singular], "singular")
         act, step = act[~singular], step[~singular]
-        coef = _in_blocks(inst, lambda y, d: contract_line(A, y, d), x[act], -step)
+        coef = _in_blocks(inst, lambda y, d: contract_line(A, y, d), x[act], -step, terms=inst.m)
         coef[:, 0] += q
         coef = np.where(mask[act, None], coef, 0.0)
         gram = coef @ coef.swapaxes(1, 2)  # ||w(x - lam d)||^2 = sum_ij gram_ij lam^(i+j)
