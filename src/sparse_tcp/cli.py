@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .merit import ObjectiveParams
 from .oracle import (
     N_MAX,
     LeastElementOptions,
@@ -66,15 +65,13 @@ def _base_report(command: str, overrides: dict, no_timestamp: bool) -> dict:
 # SolveOptions fields that map one-to-one onto the solve flag of the same name
 _SOLVER_FIELDS = (
     "eps0", "eps_factor", "max_outer", "max_inner", "armijo_c", "armijo_shrink",
-    "grad_tol", "residual_tol", "starts", "seed",
+    "grad_tol", "residual_tol", "starts", "seed", "p",
 )
 
 
 def _solve_options(args) -> SolveOptions:
     return SolveOptions(
-        params=ObjectiveParams(t=args.t0, p=args.p),
         schedule=Schedule(args.t0, args.factor, args.steps),
-        polish=not args.no_polish,
         **{name: getattr(args, name) for name in _SOLVER_FIELDS},
     )
 
@@ -91,11 +88,9 @@ def _add_solver_flags(sp) -> None:
                     help=f"number of weights; {walk} (default %(default)s); with the "
                     "default factor each extra step divides t by another 2^11, so a "
                     "longer halving walk needs --factor 0.5 as well")
-    sp.add_argument("--p", type=float, default=default.params.p)
     for name in _SOLVER_FIELDS:
         value = getattr(default, name)
         sp.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
-    sp.add_argument("--no-polish", action="store_true")
 
 
 def cmd_gen(args) -> int:

@@ -10,9 +10,9 @@ replaces such a round anyway.  The last round runs to ||g|| <= grad_tol, so the
 returned point meets the exact stationarity test.  The driver walks a decreasing
 schedule of regularization weights with warm starts, all starts as one
 batch, thresholds the final point by the closed-form magnitude floor L, and
-polishes the detected support with Newton's method on the reduced square
-system; a rejected polish is repaired by semismooth Newton on the full
-Fischer-Burmeister system.
+finishes every nonzero thresholded point with semismooth Newton on the full
+Fischer-Burmeister system (De Luca, Facchinei, Kanzow, Math. Program. 75,
+1996).
 
 The default schedule has two t-steps: one warm step at t0 = 0.1, then the
 final step at t_final = 0.1 * 2^-11, the weight a 12-step halving walk ends
@@ -64,7 +64,7 @@ EPS_MIN = 1e-10
 WARM_MAX_OUTER = 13
 # Step lengths alpha * shrink^j, j = 0..69, one Armijo search of the descent tries.
 _ARMIJO_TRIES = 70
-# FB Newton repair: iteration cap, residual target max|Phi|, step lengths
+# FB Newton finish: iteration cap, residual target max|Phi|, step lengths
 # 1, 1/2, ..., 2^-39 per line search, and the magnitude snapped to exact 0.
 _FB_ITERS = 50
 _FB_TOL = 1e-14
@@ -82,7 +82,7 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class SolveOptions:
-    params: ObjectiveParams = field(default_factory=lambda: ObjectiveParams(t=0.1, p=0.5))
+    p: float = 0.5
     # one warm t-step, then t_final = 0.1 * 2^-11 (see the module docstring)
     schedule: Schedule = field(default_factory=lambda: Schedule(0.1, 0.5**11, 2))
     eps0: float = 0.1
@@ -95,10 +95,11 @@ class SolveOptions:
     residual_tol: float = 1e-6
     starts: int = 5
     seed: int = 0
-    polish: bool = True
     grad_cfg: FbGradConfig = field(default_factory=FbGradConfig)
 
     def __post_init__(self):
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
         for name in ("eps0", "grad_tol", "residual_tol"):
             val = getattr(self, name)
             if not (val > 0 and math.isfinite(val)):
@@ -112,8 +113,7 @@ class SolveOptions:
 
     def to_dict(self) -> dict:
         return {
-            "t": self.params.t,
-            "p": self.params.p,
+            "p": self.p,
             "t0": self.schedule.t0,
             "factor": self.schedule.factor,
             "steps": self.schedule.steps,
@@ -127,7 +127,6 @@ class SolveOptions:
             "residual_tol": self.residual_tol,
             "starts": self.starts,
             "seed": self.seed,
-            "polish": self.polish,
             "rho": self.grad_cfg.rho,
             "xi": self.grad_cfg.xi,
         }
@@ -343,23 +342,24 @@ def _make_report(inst, u, opts, t_final, f_hist, t_hist, lp_hist, L, L_stmt, f0,
     )
 
 
-def minimize_local(inst: Instance, u0, opts: SolveOptions) -> SolveReport:
-    """Local minimization of the regularized objective at fixed t = opts.params.t."""
+def minimize_local(inst: Instance, u0, t: float, opts: SolveOptions) -> SolveReport:
+    """One smoothing descent from u0 at the fixed weight t: no schedule, threshold or finish."""
     if not inst.tensor.semi_symmetric():
         raise ValueError(
             "minimize_local requires a semi-symmetric tensor; apply semi_symmetrize first"
         )
+    params = ObjectiveParams(t=t, p=opts.p)
     u0 = np.asarray(u0, dtype=float).reshape(-1)
     traces: list[list[tuple[float, float]]] = [[]]
-    f0 = float(objective(inst, u0, opts.params))
-    u, f_rounds, max_norm, finite = _descend(inst, u0[None], opts.params, opts, traces)
+    f0 = float(objective(inst, u0, params))
+    u, f_rounds, max_norm, finite = _descend(inst, u0[None], params, opts, traces)
     u = u[0]
     if not finite[0]:
         raise DivergedError(f"non-finite smoothed objective at iterate {u!r}", iterate=u)
-    L, L_stmt, mu, B_hat = _bounds(inst, opts.params.p, opts.params.t, f0, max_norm[0])
+    L, L_stmt, mu, B_hat = _bounds(inst, params.p, t, f0, max_norm[0])
     return _make_report(
-        inst, u, opts, opts.params.t, [float(f) for f in f_rounds[:, 0]], [opts.params.t],
-        [lp_norm_p(u, opts.params.p)], L, L_stmt, f0, mu, B_hat, [], [], traces[0],
+        inst, u, opts, t, [float(f) for f in f_rounds[:, 0]], [t],
+        [lp_norm_p(u, params.p)], L, L_stmt, f0, mu, B_hat, [], [], traces[0],
     )
 
 
@@ -370,7 +370,9 @@ def polish_on_support(inst: Instance, u, support, tol: float = 1e-12):
     exactly zero.  Returns the input unchanged with a flag when the reduced
     Jacobian is singular ("singular"), Newton stalls ("not_converged"), a
     polished support component goes negative, or an off-support w_j drops
-    below -tol (both "negative").
+    below -tol (both "negative").  solve_sparse_tcp no longer calls it (its
+    FB Newton finish verifies the same instances without it); it stays
+    because the benchmark's tracer still hooks it by name.
     """
     support = sorted(int(i) for i in support)
     if not support:
@@ -453,16 +455,16 @@ def _bounds(inst, p, t, f0, max_norm):
 
 
 def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
-    """Continuation driver: descend along the t-schedule, threshold, polish.
+    """Continuation driver: descend along the t-schedule, threshold, finish.
 
     The starts advance together as one block along the full schedule with
     warm starts.  Each start computes the magnitude floor L at the final t
-    from the norms it actually observed, thresholds, and (optionally)
-    polishes the detected support.  A start whose polish is rejected is
-    repaired by semismooth FB Newton on the full system, seeded from
-    max(u, 0) and from |u|; the best verified seed replaces the thresholded
-    point.  A start whose objective turns non-finite is dropped with a note.
-    The best remaining start wins by final objective, ties broken by smaller
+    from the norms it actually observed and thresholds.  Every start with a
+    nonzero thresholded point is finished by semismooth FB Newton on the full
+    system, all as one block, seeded from max(u, 0) and from |u|; the best
+    verified seed replaces the point, else a note says the finish failed.
+    A start whose objective turns non-finite is dropped with a note.  The
+    best remaining start wins by final objective, ties broken by smaller
     cardinality and then lexicographic order.
     """
     opts = opts or SolveOptions()
@@ -471,7 +473,7 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     qt = q_tilde(inst.q)
     t_values = opts.schedule.values()
     t_final = t_values[-1]
-    p = opts.params.p
+    p = opts.p
     final_params = ObjectiveParams(t=t_final, p=p)
     warm_opts = replace(opts, max_outer=min(opts.max_outer, WARM_MAX_OUTER))
 
@@ -502,36 +504,29 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
         raise DivergedError("every start diverged (non-finite objective)", iterate=u)
 
     bounds = {}  # (L, L_stmt, mu, B_hat) of every live start
-    repair = []  # starts whose polish was rejected
+    finish = []  # starts with a nonzero thresholded point
     for r in np.flatnonzero(live):
         bounds[r] = _bounds(inst, p, t_final, f0[r], max_norm[r])
         L = bounds[r][0]
         if L is not None:
             u[r] = threshold_by_L(u[r], L)
-        support = [int(i) for i in np.flatnonzero(np.abs(u[r]) > _support_tol(L))]
-        if opts.polish and support:
-            u_pol, flag = polish_on_support(inst, u[r], support)
-            if flag == "ok":
-                u[r] = u_pol
-            else:
-                notes[r].append(f"start {r}: polish rejected ({flag})")
-                repair.append(r)
-    if repair:
-        seeds = np.concatenate([np.maximum(u[repair], 0.0), np.abs(u[repair])])
+        if np.any(np.abs(u[r]) > _support_tol(L)):
+            finish.append(r)
+    if finish:
+        seeds = np.concatenate([np.maximum(u[finish], 0.0), np.abs(u[finish])])
         seeds = _fb_newton(inst, seeds, opts)
         f_seeds = objective(inst, seeds, final_params)
-        for i, r in enumerate(repair):
+        for i, r in enumerate(finish):
             L = bounds[r][0]
             verified = [
                 (f_seeds[j], card(seeds[j], _support_tol(L)), tuple(seeds[j]), j)
-                for j in (i, i + len(repair))
+                for j in (i, i + len(finish))
                 if _check(inst, seeds[j], opts, L)[1]
             ]
             if verified:
                 u[r] = seeds[min(verified)[3]]
-                notes[r].append(f"start {r}: repaired by FB Newton")
             else:
-                notes[r].append(f"start {r}: FB Newton repair failed")
+                notes[r].append(f"start {r}: FB Newton finish failed")
 
     f_final = np.full(k, np.nan)
     f_final[live] = objective(inst, u[live], final_params)

@@ -216,20 +216,14 @@ def test_criterion_6_zero_minimizer_regime():
             mu=compute_Bbar(inst.n, 0.5, 1.0), f0=f0,
         )
         t_big = 1.01 * gamma_k(1, b)
-        opts = SolveOptions(
-            params=ObjectiveParams(t=t_big, p=0.5), schedule=Schedule(t_big, 0.5, 1)
-        )
-        report = solve_sparse_tcp(inst, opts)
+        report = solve_sparse_tcp(inst, SolveOptions(schedule=Schedule(t_big, 0.5, 1)))
         for entry in report.per_start:
             ok = ok and all(x == 0.0 for x in entry["u_final"])
 
         result = brute_force_sparse(inst, OracleOptions(exhaustive=True, seed=seed))
         ubar = minimal_lp_select(result, 0.5)
         t_small = 0.5 * t_upper_for_nonzero(inst.q, ubar, 0.5)
-        opts2 = SolveOptions(
-            params=ObjectiveParams(t=t_small, p=0.5), schedule=Schedule(t_small, 0.5, 1)
-        )
-        report2 = solve_sparse_tcp(inst, opts2)
+        report2 = solve_sparse_tcp(inst, SolveOptions(schedule=Schedule(t_small, 0.5, 1)))
         f_final = objective(inst, report2.u_final, ObjectiveParams(t=t_small, p=0.5))
         ok = ok and bool(np.any(report2.u_final != 0.0)) and f_final < f0
     elapsed = time.perf_counter() - start

@@ -144,6 +144,17 @@ def test_solve_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+def test_solve_p_outside_unit_interval_exits_2(tmp_path, capsys, value):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "report.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    assert run(["solve", inst_path, "--p", value, "-o", report_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: p must lie in (0, 1)")
+    assert not report_path.exists()
+
+
 def test_solve_defaults_are_the_library_defaults(tmp_path):
     inst_path = tmp_path / "inst.json"
     report_path = tmp_path / "report.json"

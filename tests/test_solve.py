@@ -1,4 +1,4 @@
-"""Smoothing descent, continuation driver, thresholding, and support polish."""
+"""Smoothing descent, continuation, thresholding, the FB Newton finish, support polish."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparse_tcp.solve as solve_mod
 import sparse_tcp.oracle as oracle
@@ -21,6 +23,7 @@ from sparse_tcp import (
     brute_force_sparse,
     compute_Bbar,
     gamma_k,
+    gen_instance,
     gen_z_feasible,
     grad_merit,
     identity_tensor,
@@ -45,10 +48,8 @@ def diag_instance(q):
     return Instance(identity_tensor(q.size, 3), q)
 
 
-def single_t_options(t, **kw):
-    return SolveOptions(
-        params=ObjectiveParams(t=t, p=0.5), schedule=Schedule(t, 0.5, 1), **kw
-    )
+def single_t_options(t):
+    return SolveOptions(schedule=Schedule(t, 0.5, 1))
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -205,8 +206,7 @@ def test_one_round_descent_ends_at_grad_tol():
 
 def test_minimize_local_diagonal():
     inst = diag_instance([-1.0, -1.0])
-    opts = SolveOptions(params=ObjectiveParams(t=1e-6, p=0.5))
-    report = minimize_local(inst, np.array([2.0, 2.0]), opts)
+    report = minimize_local(inst, np.array([2.0, 2.0]), 1e-6, SolveOptions())
     np.testing.assert_allclose(report.u_final, np.ones(2), atol=1e-4)
     assert report.residuals.fb_norm < 1e-6
     assert report.converged
@@ -217,7 +217,7 @@ def test_minimize_local_requires_semi_symmetric():
 
     inst = example_instance()
     with pytest.raises(ValueError, match="semi-symmetric"):
-        minimize_local(inst, np.ones(3), SolveOptions())
+        minimize_local(inst, np.ones(3), 0.1, SolveOptions())
 
 
 def test_minimize_local_zero_regime():
@@ -230,27 +230,27 @@ def test_minimize_local_zero_regime():
     )
     t_big = 1.01 * gamma_k(1, b)
     rng = np.random.default_rng(0)
-    report = minimize_local(inst, rng.uniform(0.5, 2.0, 3), single_t_options(t_big))
+    report = minimize_local(inst, rng.uniform(0.5, 2.0, 3), t_big, SolveOptions())
     np.testing.assert_allclose(report.u_final, np.zeros(3), atol=1e-6)
 
 
 def test_minimize_local_at_solution_stays():
     inst = diag_instance([-1.0, -1.0])
-    opts = SolveOptions(params=ObjectiveParams(t=1e-12, p=0.5))
+    params = ObjectiveParams(t=1e-12, p=0.5)
     u0 = np.ones(2)
-    f_before = objective(inst, u0, opts.params)
-    report = minimize_local(inst, u0, opts)
-    assert objective(inst, report.u_final, opts.params) <= f_before + 1e-12
+    f_before = objective(inst, u0, params)
+    report = minimize_local(inst, u0, params.t, SolveOptions())
+    assert objective(inst, report.u_final, params) <= f_before + 1e-12
     np.testing.assert_allclose(report.u_final, u0, atol=1e-6)
     assert report.residuals.fb_norm < 1e-9
 
 
 def test_descent_trace_never_rises_beyond_slack():
     inst, _, _ = gen_z_feasible(4, 3, 5)
-    opts = single_t_options(0.05)
     qt = q_tilde(inst.q)
     rng = np.random.default_rng(1)
-    report = minimize_local(inst, np.maximum(qt, 0.1) + rng.uniform(0, 0.1, 4), opts)
+    u0 = np.maximum(qt, 0.1) + rng.uniform(0, 0.1, 4)
+    report = minimize_local(inst, u0, 0.05, SolveOptions())
     trace = report.descent_trace
     assert len(trace) > 2
     t, n = 0.05, inst.n
@@ -263,7 +263,7 @@ def test_descent_trace_never_rises_beyond_slack():
 def test_minimize_local_diverges_on_overflow():
     inst = diag_instance([-1.0, -1.0])
     with pytest.raises(DivergedError):
-        minimize_local(inst, np.array([1e200, 1e200]), SolveOptions())
+        minimize_local(inst, np.array([1e200, 1e200]), 0.1, SolveOptions())
 
 
 def test_solve_options_validation():
@@ -273,6 +273,9 @@ def test_solve_options_validation():
         SolveOptions(armijo_shrink=1.0)
     with pytest.raises(ValueError):
         SolveOptions(starts=0)
+    for p in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="p must lie in"):
+            SolveOptions(p=p)
 
 
 @pytest.mark.parametrize("name", ["eps0", "grad_tol", "residual_tol"])
@@ -454,8 +457,8 @@ def test_every_start_diverging_raises(monkeypatch):
         solve_sparse_tcp(diag_instance([-1.0, -1.0]), SolveOptions(starts=2))
 
 
-# (n, seed) of planted instances where every start's support polish used to
-# be rejected; the card follows the benchmark's rule for instance seed % 1000
+# (n, seed) of planted instances where every start's former support polish
+# was rejected; the card follows the benchmark's rule for instance seed % 1000
 FORMER_FAILURES = ((5, 2041), (5, 2077), (5, 5059), (5, 6119), (5, 10005), (4, 8088))
 
 
@@ -466,8 +469,7 @@ def test_fb_newton_repair_solves_former_failures(n, seed):
     assert report.converged
     _, passed = verify_solution(inst, report.u_final, 1e-6)
     assert passed
-    assert any("repaired by FB Newton" in note for note in report.discrepancies)
-    if seed != 8088:  # there the best start repairs to a card-3 solution
+    if seed != 8088:  # there the best start finishes at a card-3 solution
         assert report.card == 2
         np.testing.assert_allclose(report.u_final, v, atol=1e-8)
 
@@ -518,3 +520,20 @@ def test_solver_against_plants_on_a_seed_block():
         assert verify_solution(inst, report.u_final, 1e-6)[1], seed
         card_matches += report.card == len(support)
     assert card_matches >= len(DIFFERENTIAL_SEEDS) - 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["z_feasible", "random"]),
+    n=st.integers(3, 5),
+    seed=st.integers(0, 10_000),
+)
+def test_verified_card_never_below_the_oracle_min_card(kind, n, seed):
+    # a verified report is a TCP solution, so its card cannot undercut the
+    # sparsest one exhaustive enumeration finds (and there must be one)
+    inst = gen_instance(kind, n, 3, seed)
+    report = solve_sparse_tcp(inst, SolveOptions())
+    if report.converged:
+        result = brute_force_sparse(inst, OracleOptions(exhaustive=True, seed=seed))
+        assert result.min_card is not None
+        assert report.card >= result.min_card
