@@ -46,7 +46,6 @@ from .solve import (
     DivergedError,
     SolveOptions,
     SolveReport,
-    minimize_local,
     polish_on_support,
     smooth_grad,
     smooth_objective,

@@ -16,6 +16,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +64,7 @@ def _base_report(command: str, overrides: dict, no_timestamp: bool) -> dict:
 
 
 # SolveOptions fields that map one-to-one onto the solve flag of the same name
-_SOLVER_FIELDS = (
-    "eps0", "eps_factor", "max_outer", "max_inner", "armijo_c", "armijo_shrink",
-    "grad_tol", "residual_tol", "starts", "seed", "p",
-)
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolveOptions) if f.name != "schedule")
 
 
 def _solve_options(args) -> SolveOptions:
@@ -133,23 +131,9 @@ def cmd_oracle(args) -> int:
     if args.least_element and not z:
         print("error: not a Z-tensor: --least-element unavailable", file=sys.stderr)
         return 2
-    opts = OracleOptions(
-        max_card=args.max_card,
-        newton_starts=args.newton_starts,
-        tol=args.tol,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-    )
+    opts = OracleOptions(**{f.name: getattr(args, f.name) for f in fields(OracleOptions)})
     p_values = _parse_p_list(args.p_list)
-    overrides = {
-        "max_card": args.max_card,
-        "newton_starts": args.newton_starts,
-        "tol": args.tol,
-        "seed": args.seed,
-        "exhaustive": args.exhaustive,
-        "p_list": args.p_list,
-        "least_element": args.least_element,
-    }
+    overrides = {**asdict(opts), "p_list": args.p_list, "least_element": args.least_element}
     report = _base_report("oracle", overrides, args.no_timestamp)
     result = brute_force_sparse(inst, opts)
     if result.solutions:
@@ -163,7 +147,7 @@ def cmd_oracle(args) -> int:
     payload["least_element"] = None
     if z and (args.least_element or result.solutions):
         try:
-            le = least_element(inst, LeastElementOptions(seed=args.seed, tol=args.tol))
+            le = least_element(inst, LeastElementOptions(tol=args.tol))
             payload["least_element"] = [float(x) for x in le]
         except (ValueError, RuntimeError) as exc:
             payload["least_element_error"] = str(exc)
@@ -173,15 +157,38 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _finite_number(x) -> bool:
+    # JSON true/false load as Python bools, which are ints: refuse them by name
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_vector(args, n: int) -> np.ndarray:
+    """The candidate of --u or --u-file, every entry checked to be a finite number."""
     if args.u is not None:
-        vals = [float(x) for x in args.u.split(",")]
+        where, vals = "--u", []
+        for item in args.u.split(","):
+            try:
+                vals.append(float(item))
+            except ValueError:
+                raise ValueError(f"--u: not a number: {item!r}") from None
     elif args.u_file is not None:
-        vals = json.loads(Path(args.u_file).read_text())
+        where = f"parse error in {args.u_file}"
+        try:
+            vals = json.loads(Path(args.u_file).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON ({exc})") from None
         if not isinstance(vals, list):
-            raise ValueError(f"parse error in {args.u_file}: expected a JSON array")
+            raise ValueError(f"{where}: expected a JSON array")
     else:
         raise ValueError("one of --u or --u-file is required")
+    for x in vals:
+        if not _finite_number(x):
+            raise ValueError(f"{where}: entries must be finite numbers, got {x!r}")
     if len(vals) != n:
         raise ValueError(f"candidate has length {len(vals)}, instance dimension is {n}")
     return np.asarray(vals, dtype=float)
@@ -316,11 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact support enumeration and least element")
     sp.add_argument("instance")
     sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--max-card", type=int, default=None)
-    sp.add_argument("--newton-starts", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--exhaustive", action="store_true")
+    # the defaults are read off OracleOptions(), as the solve flags' are off SolveOptions()
+    default = OracleOptions()
+    sp.add_argument("--max-card", type=int, default=default.max_card)
+    sp.add_argument("--newton-starts", type=int, default=default.newton_starts)
+    sp.add_argument("--tol", type=float, default=default.tol)
+    sp.add_argument("--seed", type=int, default=default.seed)
+    sp.add_argument("--exhaustive", action="store_true", default=default.exhaustive)
     sp.add_argument("--least-element", action="store_true")
     sp.add_argument("--p-list", default="0.5")
     sp.add_argument("--no-timestamp", action="store_true")

@@ -70,7 +70,7 @@ def merit_fb(inst: Instance, u):
     return 0.5 * (r * r).sum(axis=-1)
 
 
-def _fb_parts(inst: Instance, u, cfg: FbGradConfig):
+def _fb_parts(inst: Instance, u, cfg: FbGradConfig = FbGradConfig()):
     """(phi, v, z, M): the FB residual and the pieces of its generalized Jacobian.
 
     The Jacobian element is diag(v) + diag(z) (m-1) M(u), with

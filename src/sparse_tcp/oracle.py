@@ -35,6 +35,7 @@ from .tensors import (
 )
 
 N_MAX = 8  # combinatorial guard for support enumeration
+DEDUP_TOL = 1e-7  # a root this close (max norm) to a solution already found is that solution
 
 
 @dataclass
@@ -44,21 +45,14 @@ class OracleOptions:
     tol: float = 1e-8
     seed: int = 0
     exhaustive: bool = False
-    newton_iters: int = 60
-    newton_tol: float = 1e-12
-    dedup_tol: float = 1e-7
-    tol_zero: float = 1e-9
 
     def __post_init__(self):
-        for name in ("newton_starts", "newton_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.newton_starts < 1:
+            raise ValueError(f"newton_starts must be >= 1, got {self.newton_starts}")
         if self.max_card is not None and self.max_card < 0:
             raise ValueError(f"max_card must be None or >= 0, got {self.max_card}")
-        for name in ("tol", "newton_tol", "dedup_tol", "tol_zero"):
-            val = getattr(self, name)
-            if not (val > 0 and math.isfinite(val)):
-                raise ValueError(f"{name} must be finite and > 0, got {val}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -92,10 +86,10 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
     """Residual report plus pass/fail at tolerance tol.
 
     Passes iff u >= -tol componentwise, w = A u^{m-1} + q >= -tol componentwise,
-    and |u^T w| <= tol.
+    and |u^T w| <= tol.  Raises ValueError unless tol is finite and > 0.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     u = np.asarray(u, dtype=float).reshape(-1)
     w = contract_m1(inst.tensor, u) + inst.q
     feas_u = max(0.0, -float(np.min(u)))
@@ -116,8 +110,8 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
 
 # Cap on the Kronecker entries of one contraction over a block of rows, 0.5 MB (rows times
 # n^(m-1) times the terms per row: 1 for contract_m1, m for contract_line): for n <= 5 and
-# m = 3 a whole enumeration batch or Armijo ladder is one call, while larger batches and
-# tensors take it in row blocks (and a ladder stops at the first block that settles every row).
+# m = 3 a whole enumeration batch is one call, while larger batches and tensors take it in
+# row blocks.  The solver's line search blocks its rows by the same cap.
 _LADDER_ENTRIES = 2**16
 
 
@@ -146,47 +140,6 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return step
-
-
-def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
-    """Backtracking Armijo search along u - step * d for every row at once.
-
-    Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
-    fun value is at most f_r - c * step * slope_r (a NaN value never is): the
-    step a backtracking loop would accept.  fun(x) maps a block of candidate
-    points to their values.  The solver's descent and _fb_newton use it;
-    reduced_newton finds its steps in closed form instead.  The full steps
-    are evaluated first; the rows that reject theirs evaluate the ladder of
-    shorter steps, stopping after the span of steps in which every row found
-    its step.  Every fun call gets rows of at most _LADDER_ENTRIES
-    Kronecker entries in all, or one row.  Returns (u_new, f_new, step,
-    found); rows with found False accepted no step and hold meaningless values.
-    """
-    u_new = u - alpha[:, None] * d
-    f_new = _in_blocks(inst, fun, u_new)
-    found = f_new <= f - c * alpha * slope
-    if found.all():
-        return u_new, f_new, alpha, found
-    step = alpha.copy()
-    pending = np.flatnonzero(~found)
-    per_call = _rows_per_call(inst)
-    j = 1
-    while pending.size and j < tries:
-        span = min(max(1, per_call // pending.size), tries - j)
-        steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
-        cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
-        f_cand = _in_blocks(inst, fun, cand.reshape(-1, u.shape[1])).reshape(steps.shape)
-        ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
-        rung = np.argmax(ok, axis=1)  # first accepted step of each row
-        hit = ok[np.arange(pending.size), rung]
-        rows, rung = pending[hit], rung[hit]
-        u_new[rows] = cand[hit, rung]
-        f_new[rows] = f_cand[hit, rung]
-        step[rows] = steps[hit, rung]
-        found[rows] = True
-        pending = pending[~hit]
-        j += span
-    return u_new, f_new, step, found
 
 
 # Step lengths 1, 1/2, ..., 2^-39 of a reduced Newton line search.
@@ -275,8 +228,8 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     reduced_newton batch on the full tensor: one batch for all sizes when
     opts.exhaustive, else one per size, so that the search stops at the first
     size that yields a verified solution.  Every new root must pass
-    verify_solution on the original instance; roots within opts.dedup_tol of
-    a solution already found are dropped.
+    verify_solution on the original instance; roots within DEDUP_TOL of a
+    solution already found are dropped.
     """
     opts = opts or OracleOptions()
     n = inst.n
@@ -291,9 +244,9 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     found_at = []  # enumerated support size of each solution
 
     def visit(u, size):
-        if any(float(np.max(np.abs(u - u0))) < opts.dedup_tol for u0, _, _ in solutions):
+        if any(float(np.max(np.abs(u - u0))) < DEDUP_TOL for u0, _, _ in solutions):
             return
-        report, passed = verify_solution(inst, u, opts.tol, tol_zero=opts.tol_zero)
+        report, passed = verify_solution(inst, u, opts.tol)
         if passed:
             solutions.append((u, report.support, report))
             found_at.append(size)
@@ -309,9 +262,7 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
         for i, support in enumerate(supports):
             mask[i * k : (i + 1) * k, support] = True
             x0[i * k : (i + 1) * k, support] = rng.uniform(0.05, 2.0, (k, len(support)))
-        xs, statuses = reduced_newton(
-            work, mask, x0, iters=opts.newton_iters, tol=opts.newton_tol
-        )
+        xs, statuses = reduced_newton(work, mask, x0)
         for x, size, status in zip(xs, mask.sum(axis=1), statuses):
             if status == "ok":
                 visit(x, int(size))

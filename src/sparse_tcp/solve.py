@@ -30,20 +30,12 @@ planted seed 269 (card 5 against 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .merit import (
-    FbGradConfig,
-    ObjectiveParams,
-    _fb_parts,
-    _rows,
-    grad_merit,
-    merit_fb,
-    objective,
-)
-from .oracle import _armijo, _newton_steps, reduced_newton, verify_solution
+from .merit import ObjectiveParams, _fb_parts, _rows, grad_merit, merit_fb, objective
+from .oracle import _in_blocks, _newton_steps, _rows_per_call, reduced_newton, verify_solution
 from .regpath import (
     BoundInputs,
     Schedule,
@@ -95,7 +87,6 @@ class SolveOptions:
     residual_tol: float = 1e-6
     starts: int = 5
     seed: int = 0
-    grad_cfg: FbGradConfig = field(default_factory=FbGradConfig)
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -112,24 +103,10 @@ class SolveOptions:
             raise ValueError("max_outer, max_inner, starts must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "t0": self.schedule.t0,
-            "factor": self.schedule.factor,
-            "steps": self.schedule.steps,
-            "eps0": self.eps0,
-            "eps_factor": self.eps_factor,
-            "max_outer": self.max_outer,
-            "max_inner": self.max_inner,
-            "armijo_c": self.armijo_c,
-            "armijo_shrink": self.armijo_shrink,
-            "grad_tol": self.grad_tol,
-            "residual_tol": self.residual_tol,
-            "starts": self.starts,
-            "seed": self.seed,
-            "rho": self.grad_cfg.rho,
-            "xi": self.grad_cfg.xi,
-        }
+        """Every field, with the schedule flattened into t0, factor and steps."""
+        out = asdict(self)
+        out.update(out.pop("schedule"))
+        return out
 
 
 @dataclass
@@ -151,7 +128,6 @@ class SolveReport:
     t_final: float
     per_start: list[dict]
     options: dict
-    descent_trace: list[tuple[float, float]]
 
     def to_dict(self) -> dict:
         return {
@@ -187,19 +163,13 @@ def smooth_objective(inst: Instance, u, params: ObjectiveParams, eps: float):
     return merit_fb(inst, u) + params.t * reg
 
 
-def smooth_grad(
-    inst: Instance,
-    u,
-    params: ObjectiveParams,
-    eps: float,
-    cfg: FbGradConfig = FbGradConfig(),
-) -> np.ndarray:
+def smooth_grad(inst: Instance, u, params: ObjectiveParams, eps: float) -> np.ndarray:
     """Gradient of smooth_objective: merit gradient plus t*p*u*(u^2+eps^2)^(p/2-1), row-wise."""
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
     u = _rows(u)
     reg_grad = params.t * params.p * u * (u * u + eps * eps) ** (params.p / 2.0 - 1.0)
-    return grad_merit(inst, u, cfg) + reg_grad
+    return grad_merit(inst, u) + reg_grad
 
 
 def _eps_rounds(opts: SolveOptions) -> list[float]:
@@ -213,7 +183,47 @@ def _eps_rounds(opts: SolveOptions) -> list[float]:
     return rounds
 
 
-def _descend(inst, u0, params, opts, traces=None):
+def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
+    """Backtracking Armijo search along u - step * d for every row at once.
+
+    Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
+    fun value is at most f_r - c * step * slope_r (a NaN value never is): the
+    step a backtracking loop would accept.  fun(x) maps a block of candidate
+    points to their values.  The full steps are evaluated first; the rows
+    that reject theirs evaluate the ladder of shorter steps, stopping after
+    the span of steps in which every row found its step.  Every fun call gets
+    rows of at most the oracle's _LADDER_ENTRIES Kronecker entries in all, or
+    one row.  Returns (u_new, f_new, step, found); rows with found False
+    accepted no step and hold meaningless values.
+    """
+    u_new = u - alpha[:, None] * d
+    f_new = _in_blocks(inst, fun, u_new)
+    found = f_new <= f - c * alpha * slope
+    if found.all():
+        return u_new, f_new, alpha, found
+    step = alpha.copy()
+    pending = np.flatnonzero(~found)
+    per_call = _rows_per_call(inst)
+    j = 1
+    while pending.size and j < tries:
+        span = min(max(1, per_call // pending.size), tries - j)
+        steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
+        cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
+        f_cand = _in_blocks(inst, fun, cand.reshape(-1, u.shape[1])).reshape(steps.shape)
+        ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
+        rung = np.argmax(ok, axis=1)  # first accepted step of each row
+        hit = ok[np.arange(pending.size), rung]
+        rows, rung = pending[hit], rung[hit]
+        u_new[rows] = cand[hit, rung]
+        f_new[rows] = f_cand[hit, rung]
+        step[rows] = steps[hit, rung]
+        found[rows] = True
+        pending = pending[~hit]
+        j += span
+    return u_new, f_new, step, found
+
+
+def _descend(inst, u0, params, opts):
     """Annealed smoothing descent at fixed t for a (k, n) block of starts.
 
     Returns (u, f_rounds, max_norm, finite): the final rows, the true
@@ -234,9 +244,7 @@ def _descend(inst, u0, params, opts, traces=None):
     components without giving up the Armijo descent guarantee.  The smoothed
     objective is nonincreasing across accepted steps at fixed eps and can only
     drop when eps shrinks, so the true objective never rises by more than the
-    smoothing slack t * n * eps^p between accepted iterates.  With traces, a
-    list of k lists, row r's true objective after every accepted step is
-    appended to traces[r] as (eps, value).
+    smoothing slack t * n * eps^p between accepted iterates.
     """
     u = np.array(u0, dtype=float)
     k = len(u)
@@ -262,7 +270,7 @@ def _descend(inst, u0, params, opts, traces=None):
         for _ in range(opts.max_inner):
             if not idx.size:
                 break
-            g = smooth_grad(inst, x, params, eps, opts.grad_cfg)
+            g = smooth_grad(inst, x, params, eps)
             keep = np.einsum("ij,ij->i", g, g) > tol**2
             if not keep.all():
                 u[idx[~keep]] = x[~keep]
@@ -290,9 +298,6 @@ def _descend(inst, u0, params, opts, traces=None):
             f = np.where(found, f_new, f)
             rows = idx[found]
             norm2[rows] = np.maximum(norm2[rows], np.einsum("ij,ij->i", x[found], x[found]))
-            if traces is not None:
-                for r, val in zip(rows, objective(inst, x[found], params)):
-                    traces[r].append((eps, float(val)))
             # a row exits when no step was accepted or its step fell below machine noise
             keep = found & (step * np.abs(d).max(axis=1) >= 1e-15 * (1.0 + np.abs(x).max(axis=1)))
             if not keep.all():
@@ -315,52 +320,6 @@ def _check(inst, u, opts, L):
     """(residuals, converged): verify_solution at residual_tol plus an FB norm within it."""
     residuals, passed = verify_solution(inst, u, opts.residual_tol, tol_zero=_support_tol(L))
     return residuals, passed and residuals.fb_norm <= opts.residual_tol
-
-
-def _make_report(inst, u, opts, t_final, f_hist, t_hist, lp_hist, L, L_stmt, f0, mu, B_hat,
-                 discrepancies, per_start, trace):
-    residuals, converged = _check(inst, u, opts, L)
-    return SolveReport(
-        u_final=u,
-        residuals=residuals,
-        support=residuals.support,
-        L_used=L,
-        f_history=f_hist,
-        t_history=t_hist,
-        converged=converged,
-        discrepancies=discrepancies,
-        card=card(u, _support_tol(L)),
-        lp_history=lp_hist,
-        L_statement=L_stmt,
-        f0_used=f0,
-        mu_used=mu,
-        B_hat=B_hat,
-        t_final=t_final,
-        per_start=per_start,
-        options=opts.to_dict(),
-        descent_trace=trace,
-    )
-
-
-def minimize_local(inst: Instance, u0, t: float, opts: SolveOptions) -> SolveReport:
-    """One smoothing descent from u0 at the fixed weight t: no schedule, threshold or finish."""
-    if not inst.tensor.semi_symmetric():
-        raise ValueError(
-            "minimize_local requires a semi-symmetric tensor; apply semi_symmetrize first"
-        )
-    params = ObjectiveParams(t=t, p=opts.p)
-    u0 = np.asarray(u0, dtype=float).reshape(-1)
-    traces: list[list[tuple[float, float]]] = [[]]
-    f0 = float(objective(inst, u0, params))
-    u, f_rounds, max_norm, finite = _descend(inst, u0[None], params, opts, traces)
-    u = u[0]
-    if not finite[0]:
-        raise DivergedError(f"non-finite smoothed objective at iterate {u!r}", iterate=u)
-    L, L_stmt, mu, B_hat = _bounds(inst, params.p, t, f0, max_norm[0])
-    return _make_report(
-        inst, u, opts, t, [float(f) for f in f_rounds[:, 0]], [t],
-        [lp_norm_p(u, params.p)], L, L_stmt, f0, mu, B_hat, [], [], traces[0],
-    )
 
 
 def polish_on_support(inst: Instance, u, support, tol: float = 1e-12):
@@ -410,11 +369,11 @@ def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
 
     x0 is a (k, n) block of seeds advanced together.  The step solves
     J d = -Phi with J the generalized Jacobian of _fb_parts (its degenerate
-    rows use opts.grad_cfg), and an Armijo search on ||Phi||^2 damps it over
-    the lengths 1, 1/2, ..., 2^-39.  Each row stops on its own once
-    max|Phi| <= _FB_TOL, on a singular Jacobian or non-finite step, or when
-    no step length is accepted.  Entries with |x_i| <= _SNAP are set to
-    exactly 0 in the returned rows; the caller verifies them.
+    rows use the default (rho, xi) = (0, 0)), and an Armijo search on
+    ||Phi||^2 damps it over the lengths 1, 1/2, ..., 2^-39.  Each row stops
+    on its own once max|Phi| <= _FB_TOL, on a singular Jacobian or non-finite
+    step, or when no step length is accepted.  Entries with |x_i| <= _SNAP
+    are set to exactly 0 in the returned rows; the caller verifies them.
     """
     x = np.array(x0, dtype=float)
     act = np.arange(len(x))  # rows still iterating
@@ -423,7 +382,7 @@ def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
     for _ in range(_FB_ITERS):
         if not act.size:
             break
-        phi, v, z, mat = _fb_parts(inst, x[act], opts.grad_cfg)
+        phi, v, z, mat = _fb_parts(inst, x[act])
         jac = (inst.m - 1) * z[..., None] * mat
         jac[:, diag, diag] += v
         step = _newton_steps(jac, phi)
@@ -543,20 +502,23 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     ]
     best = min(bounds, key=lambda r: (f_final[r], cards[r], tuple(u[r])))
     L, L_stmt, mu, B_hat = bounds[best]
-    return _make_report(
-        inst,
-        u[best].copy(),
-        opts,
-        t_final,
-        [float(f) for f in f_hist[:, best]],
-        list(t_values),
-        [float(x) for x in lp_hist[:, best]],
-        L,
-        L_stmt,
-        float(f0[best]),
-        mu,
-        B_hat,
-        [note for entry in notes for note in entry],
-        per_start,
-        [],
+    residuals, converged = _check(inst, u[best], opts, L)
+    return SolveReport(
+        u_final=u[best].copy(),
+        residuals=residuals,
+        support=residuals.support,
+        L_used=L,
+        f_history=[float(f) for f in f_hist[:, best]],
+        t_history=list(t_values),
+        converged=converged,
+        discrepancies=[note for entry in notes for note in entry],
+        card=cards[best],
+        lp_history=[float(x) for x in lp_hist[:, best]],
+        L_statement=L_stmt,
+        f0_used=float(f0[best]),
+        mu_used=mu,
+        B_hat=B_hat,
+        t_final=t_final,
+        per_start=per_start,
+        options=opts.to_dict(),
     )

@@ -45,7 +45,6 @@ from sparse_tcp import (
 )
 from sparse_tcp.cli import example_report
 from sparse_tcp.merit import phi_fb
-from sparse_tcp.oracle import LeastElementOptions
 
 SUITE_SEEDS = list(range(50))
 SUITE_NS = [3, 4, 5]
@@ -158,7 +157,7 @@ def test_criterion_4_least_element():
     start = time.perf_counter()
     ok = True
     for seed, ((inst, v, support), result) in enumerate(zip(planted_suite(), oracle_results())):
-        le = least_element(inst, LeastElementOptions(seed=seed))
+        le = least_element(inst)
         _, passed = verify_solution(inst, le, 1e-8)
         ok = ok and passed
         samples = sample_feasible(inst, 1000, seed=seed + 1)

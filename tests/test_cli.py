@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import sparse_tcp
 from sparse_tcp import gen_instance, is_z_tensor, load_instance, save_instance
-from sparse_tcp.cli import main
+from sparse_tcp.cli import build_parser, main
 
 
 def run(args):
@@ -165,6 +166,15 @@ def test_solve_defaults_are_the_library_defaults(tmp_path):
     assert report["result"]["options"] == report["options"]
 
 
+def test_solve_parser_has_one_flag_per_option():
+    # every SolveOptions field has its flag (the schedule as --t0, --factor and
+    # --steps), with the library default, and no other option flag exists
+    args = vars(build_parser().parse_args(["solve", "inst.json"]))
+    for name in ("command", "func", "instance", "output", "no_timestamp"):
+        del args[name]
+    assert args == sparse_tcp.SolveOptions().to_dict()
+
+
 def test_solve_deterministic_bytes(tmp_path):
     inst_path = tmp_path / "inst.json"
     run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
@@ -197,6 +207,15 @@ def test_oracle_planted_card1(tmp_path):
     assert report["result"]["min_card"] == 1
     assert report["result"]["exhaustive"] is True
     assert "0.5" in report["result"]["minimal_lp"]
+
+
+def test_oracle_report_options_are_the_library_options(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "oracle.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    assert run(["oracle", inst_path, "-o", report_path, "--no-timestamp"]) == 0
+    options = json.loads(report_path.read_text())["options"]
+    assert options == {**asdict(sparse_tcp.OracleOptions()), "p_list": "0.5", "least_element": False}
 
 
 def test_oracle_least_element_requires_z(tmp_path):
@@ -317,6 +336,49 @@ def test_verify_u_file_and_dimension_error(tmp_path):
     assert run(["verify", inst_path, "--u-file", u_path]) == 0
     u_path.write_text("[0.0, 0.0, 0.0]")
     assert run(["verify", inst_path, "--u-file", u_path]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_tolerance_exits_2(tmp_path, capsys, value):
+    # with --tol inf every candidate would pass, with nan every one would fail
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "verify.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    assert run(["verify", inst_path, "--u", "5,5,5", f"--tol={value}", "-o", report_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: tol must be finite")
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        pytest.param("file", "[1, 2", id="file-malformed"),
+        pytest.param("file", '[{"a": 1}, 1, 2]', id="file-object"),
+        pytest.param("file", "[null, 1, 2]", id="file-null"),
+        pytest.param("file", "[true, 1, 2]", id="file-bool"),
+        pytest.param("file", "[NaN, 1, 2]", id="file-nan"),
+        pytest.param("file", "[1e999, 1, 2]", id="file-inf"),
+        pytest.param("file", "[1" + "0" * 400 + ", 1, 2]", id="file-int-beyond-float"),
+        pytest.param("flag", "nan,1,1", id="flag-nan"),
+        pytest.param("flag", "1,-inf,1", id="flag-inf"),
+        pytest.param("flag", "1,,1", id="flag-empty"),
+    ],
+)
+def test_verify_bad_candidate_entry_exits_2(tmp_path, capsys, source, text):
+    inst_path = tmp_path / "inst.json"
+    report_path = tmp_path / "verify.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 5, "-o", inst_path])
+    if source == "file":
+        u_path = tmp_path / "u.json"
+        u_path.write_text(text)
+        flags, where = ["--u-file", u_path], str(u_path)
+    else:
+        flags, where = ["--u", text], "--u"
+    assert run(["verify", inst_path, *flags, "-o", report_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and where in err
+    assert not report_path.exists()
 
 
 def test_example_report(tmp_path):

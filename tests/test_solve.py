@@ -29,7 +29,6 @@ from sparse_tcp import (
     identity_tensor,
     lp_norm_p,
     minimal_lp_select,
-    minimize_local,
     objective,
     polish_on_support,
     q_tilde,
@@ -134,7 +133,7 @@ def descend_one_start(inst, u, params, opts):
         fs = smooth_objective(inst, u, params, eps)
         prev_u = prev_d = alpha_prev = None
         for _ in range(opts.max_inner):
-            g = smooth_grad(inst, u, params, eps, opts.grad_cfg)
+            g = smooth_grad(inst, u, params, eps)
             if float(np.linalg.norm(g)) <= tol:
                 break
             d = g / (1.0 + params.t * params.p * (u * u + eps * eps) ** (params.p / 2.0 - 1.0))
@@ -197,30 +196,31 @@ def test_one_round_descent_ends_at_grad_tol():
     u0 = np.maximum(q_tilde(inst.q), 0.1) + rng.uniform(0.0, 0.2, (3, 4))
     u, f_rounds, _, finite = _descend(inst, u0, params, opts)
     assert finite.all() and f_rounds.shape == (1, 3)
-    g = smooth_grad(inst, u, params, opts.eps0, opts.grad_cfg)
+    g = smooth_grad(inst, u, params, opts.eps0)
     assert np.all(np.linalg.norm(g, axis=1) <= opts.grad_tol)
 
 
-# -- minimize_local ---------------------------------------------------------------
+# -- one-row descent ----------------------------------------------------------------
 
 
-def test_minimize_local_diagonal():
+def descend_one_row(inst, u0, t):
+    """_descend on the one-row block u0 at the fixed weight t: (u, f_rounds, finite)."""
+    u, f_rounds, _, finite = _descend(
+        inst, np.asarray(u0, dtype=float)[None], ObjectiveParams(t=t, p=0.5), SolveOptions()
+    )
+    return u[0], f_rounds[:, 0], finite[0]
+
+
+def test_descend_one_row_diagonal():
     inst = diag_instance([-1.0, -1.0])
-    report = minimize_local(inst, np.array([2.0, 2.0]), 1e-6, SolveOptions())
-    np.testing.assert_allclose(report.u_final, np.ones(2), atol=1e-4)
-    assert report.residuals.fb_norm < 1e-6
-    assert report.converged
+    u, _, finite = descend_one_row(inst, [2.0, 2.0], 1e-6)
+    assert finite
+    np.testing.assert_allclose(u, np.ones(2), atol=1e-4)
+    residuals, passed = verify_solution(inst, u, 1e-6)
+    assert passed and residuals.fb_norm < 1e-6
 
 
-def test_minimize_local_requires_semi_symmetric():
-    from sparse_tcp.tensors import example_instance
-
-    inst = example_instance()
-    with pytest.raises(ValueError, match="semi-symmetric"):
-        minimize_local(inst, np.ones(3), 0.1, SolveOptions())
-
-
-def test_minimize_local_zero_regime():
+def test_descend_one_row_zero_regime():
     inst, _, _ = gen_z_feasible(3, 3, 2)
     qt = q_tilde(inst.q)
     f0 = 2.0 * float(qt @ qt)
@@ -230,40 +230,58 @@ def test_minimize_local_zero_regime():
     )
     t_big = 1.01 * gamma_k(1, b)
     rng = np.random.default_rng(0)
-    report = minimize_local(inst, rng.uniform(0.5, 2.0, 3), t_big, SolveOptions())
-    np.testing.assert_allclose(report.u_final, np.zeros(3), atol=1e-6)
+    u, _, _ = descend_one_row(inst, rng.uniform(0.5, 2.0, 3), t_big)
+    np.testing.assert_allclose(u, np.zeros(3), atol=1e-6)
 
 
-def test_minimize_local_at_solution_stays():
+def test_descend_one_row_at_solution_stays():
     inst = diag_instance([-1.0, -1.0])
     params = ObjectiveParams(t=1e-12, p=0.5)
     u0 = np.ones(2)
     f_before = objective(inst, u0, params)
-    report = minimize_local(inst, u0, params.t, SolveOptions())
-    assert objective(inst, report.u_final, params) <= f_before + 1e-12
-    np.testing.assert_allclose(report.u_final, u0, atol=1e-6)
-    assert report.residuals.fb_norm < 1e-9
+    u, _, _ = descend_one_row(inst, u0, params.t)
+    assert objective(inst, u, params) <= f_before + 1e-12
+    np.testing.assert_allclose(u, u0, atol=1e-6)
+    assert verify_solution(inst, u, 1e-9)[0].fb_norm < 1e-9
 
 
-def test_descent_trace_never_rises_beyond_slack():
+def test_descent_trace_never_rises_beyond_slack(monkeypatch):
+    # every smooth_grad call precedes the line search of its iteration at the
+    # same eps, so the wrappers pair each accepted iterate with its round's eps
     inst, _, _ = gen_z_feasible(4, 3, 5)
-    qt = q_tilde(inst.q)
+    t = 0.05
+    params = ObjectiveParams(t=t, p=0.5)
+    eps_now, trace = [], []
+    grad, armijo = solve_mod.smooth_grad, solve_mod._armijo
+
+    def smooth_grad_seen(inst_, u, params_, eps):
+        eps_now.append(eps)
+        return grad(inst_, u, params_, eps)
+
+    def armijo_traced(*args):
+        u_new, f_new, step, found = armijo(*args)
+        for val in objective(inst, u_new[found], params):
+            trace.append((eps_now[-1], float(val)))
+        return u_new, f_new, step, found
+
+    monkeypatch.setattr(solve_mod, "smooth_grad", smooth_grad_seen)
+    monkeypatch.setattr(solve_mod, "_armijo", armijo_traced)
     rng = np.random.default_rng(1)
-    u0 = np.maximum(qt, 0.1) + rng.uniform(0, 0.1, 4)
-    report = minimize_local(inst, u0, 0.05, SolveOptions())
-    trace = report.descent_trace
-    assert len(trace) > 2
-    t, n = 0.05, inst.n
+    u0 = np.maximum(q_tilde(inst.q), 0.1) + rng.uniform(0, 0.1, 4)
+    descend_one_row(inst, u0, t)
+    assert len(trace) > 2 and len(set(eps for eps, _ in trace)) > 2
     for (eps_a, f_a), (eps_b, f_b) in zip(trace, trace[1:]):
-        slack = t * n * max(eps_a, eps_b) ** 0.5
+        slack = t * inst.n * max(eps_a, eps_b) ** 0.5
         assert f_b <= f_a + slack + 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_minimize_local_diverges_on_overflow():
+def test_descend_one_row_overflow_is_not_finite():
+    # the row drops out with NaN objectives; the driver turns that into DivergedError
     inst = diag_instance([-1.0, -1.0])
-    with pytest.raises(DivergedError):
-        minimize_local(inst, np.array([1e200, 1e200]), 0.1, SolveOptions())
+    _, f_rounds, finite = descend_one_row(inst, [1e200, 1e200], 0.1)
+    assert not finite
+    assert np.all(np.isnan(f_rounds))
 
 
 def test_solve_options_validation():
