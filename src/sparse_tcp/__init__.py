@@ -11,7 +11,6 @@ Library layout:
 """
 
 from .merit import (
-    FbGradConfig,
     ObjectiveParams,
     grad_check,
     grad_merit,

@@ -3,8 +3,7 @@
 The FB function phi(a, b) = sqrt(a^2 + b^2) - (a + b) vanishes exactly on the
 complementarity set {a >= 0, b >= 0, ab = 0}, so the stacked residual over
 (u_i, w_i) with w = A u^{m-1} + q vanishes exactly at TCP solutions.  The merit
-function is half its squared norm; its gradient is smooth everywhere, with a
-bounded subgradient choice (rho, xi) at points where (u_i, w_i) = (0, 0).
+function is half its squared norm, and its gradient is smooth everywhere.
 """
 
 from __future__ import annotations
@@ -15,18 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import Instance, contract_m1, contract_m2
-
-
-@dataclass(frozen=True)
-class FbGradConfig:
-    """Subgradient parameters used at degenerate points (u_i, w_i) = (0, 0)."""
-
-    rho: float = 0.0
-    xi: float = 0.0
-
-    def __post_init__(self):
-        if math.hypot(self.rho, self.xi) > 1.0:
-            raise ValueError(f"need ||(rho, xi)|| <= 1, got ({self.rho}, {self.xi})")
 
 
 @dataclass(frozen=True)
@@ -70,12 +57,12 @@ def merit_fb(inst: Instance, u):
     return 0.5 * (r * r).sum(axis=-1)
 
 
-def _fb_parts(inst: Instance, u, cfg: FbGradConfig = FbGradConfig()):
+def _fb_parts(inst: Instance, u):
     """(phi, v, z, M): the FB residual and the pieces of its generalized Jacobian.
 
     The Jacobian element is diag(v) + diag(z) (m-1) M(u), with
     v_i = u_i / r_i - 1 and z_i = w_i / r_i - 1 where r_i = ||(u_i, w_i)||,
-    and (v_i, z_i) = (rho - 1, xi - 1) where r_i = 0.  The tensor must be
+    and (v_i, z_i) = (-1, -1) where r_i = 0.  The tensor must be
     semi-symmetric: then (m-1) M = (m-1) contract_m2 is the Jacobian of
     u -> A u^{m-1}, and w = M u + q comes from the same stack.  A (k, n)
     batch of rows gives (k, n) pieces and a (k, n, n) stack M.
@@ -86,12 +73,12 @@ def _fb_parts(inst: Instance, u, cfg: FbGradConfig = FbGradConfig()):
     r = np.hypot(u, w)
     phi = r - (u + w)
     nondeg = r > 0.0
-    v = np.divide(u, r, out=np.full_like(u, cfg.rho), where=nondeg) - 1.0
-    z = np.divide(w, r, out=np.full_like(u, cfg.xi), where=nondeg) - 1.0
+    v = np.divide(u, r, out=np.zeros_like(u), where=nondeg) - 1.0
+    z = np.divide(w, r, out=np.zeros_like(u), where=nondeg) - 1.0
     return phi, v, z, mat
 
 
-def grad_merit(inst: Instance, u, cfg: FbGradConfig = FbGradConfig()) -> np.ndarray:
+def grad_merit(inst: Instance, u) -> np.ndarray:
     """Gradient of merit_fb for a semi-symmetric tensor, row by row for a batch.
 
     Equals J^T Phi = D_v Phi + (m-1) M(u)^T D_z Phi for the generalized
@@ -102,7 +89,7 @@ def grad_merit(inst: Instance, u, cfg: FbGradConfig = FbGradConfig()) -> np.ndar
         raise ValueError(
             "grad_merit requires a semi-symmetric tensor; apply semi_symmetrize first"
         )
-    phi, v, z, mat = _fb_parts(inst, u, cfg)
+    phi, v, z, mat = _fb_parts(inst, u)
     return v * phi + (inst.m - 1) * ((z * phi)[..., None, :] @ mat)[..., 0, :]
 
 
@@ -112,9 +99,7 @@ def objective(inst: Instance, u, params: ObjectiveParams):
     return merit_fb(inst, u) + params.t * (np.abs(u) ** params.p).sum(axis=-1)
 
 
-def grad_check(
-    inst: Instance, u, cfg: FbGradConfig = FbGradConfig(), step: float = 1e-5
-) -> float:
+def grad_check(inst: Instance, u, step: float = 1e-5) -> float:
     """Max relative deviation of grad_merit from central finite differences.
 
     Rejects points with a (near-)degenerate pair, where finite differences of
@@ -128,7 +113,7 @@ def grad_check(
         raise ValueError(
             f"degenerate pair (u_{idx}, w_{idx}) ~ (0, 0); finite differences invalid there"
         )
-    g = grad_merit(inst, u, cfg)
+    g = grad_merit(inst, u)
     fd = np.empty_like(g)
     for i in range(u.size):
         up = u.copy()

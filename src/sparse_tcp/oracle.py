@@ -19,6 +19,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -378,51 +379,8 @@ FIXED_POINT_RTOL = 1e-14
 class LeastElementOptions:
     tol: float = 1e-8
     seed: int = 0  # read by nothing (the iteration draws no random numbers); kept for callers
-    support_tol: float = NEWTON_REACH  # entries above it are in every solution's support
-
-
-def _monotone_least(inst: Instance, tol: float) -> np.ndarray:
-    """The monotone Jacobi iteration of least_element, with its Newton finish and stops."""
-    work = semi_symmetric_instance(inst)
-    n, mfac = inst.n, inst.m - 1
-    diag = inst.tensor.as_array()[(np.arange(n),) * inst.m]
-    pos = diag > 0
-
-    u = np.zeros(n)
-    support = None
-    tried = set()
-    upper = None  # a verified Newton root: feasible, so no smaller than the least element
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(LEAST_ELEMENT_MAX_STEPS):
-            r = diag * u**mfac - (contract_m1(inst.tensor, u) + inst.q)
-            u_new = np.zeros(n)
-            u_new[pos] = (np.maximum(r[pos], 0.0) / diag[pos]) ** (1.0 / mfac)
-            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u_new))):
-                raise ValueError(f"infeasible: the monotone iteration is unbounded at step {step}")
-            stuck = np.flatnonzero(~pos & (r > tol))
-            if stuck.size:
-                i = stuck[0]
-                raise ValueError(
-                    f"infeasible: row {i} has a_ii <= 0 and w_{i} <= {-r[i]:.3g} "
-                    f"at every u above the iterate of step {step}"
-                )
-            if np.max(np.abs(u_new - u)) <= FIXED_POINT_RTOL * max(1.0, np.max(u_new)):
-                if verify_solution(inst, u_new, tol)[1]:
-                    return u_new
-            new_support = tuple(int(i) for i in np.flatnonzero(u_new > 0))
-            if new_support and new_support == support and new_support not in tried:
-                tried.add(new_support)
-                (root,), (status,) = reduced_newton(work, (u_new > 0)[None], u_new[None])
-                if status == "ok" and verify_solution(inst, root, tol)[1]:
-                    upper = root
-            if (
-                upper is not None
-                and np.all(upper >= u_new - tol)
-                and np.max(upper - u_new) <= NEWTON_REACH
-            ):
-                return upper
-            u, support = u_new, new_support
-    raise RuntimeError(f"no least element found after {LEAST_ELEMENT_MAX_STEPS} steps")
+    # entries above it are in every solution's support; a constant, not a setting
+    support_tol: ClassVar[float] = NEWTON_REACH
 
 
 def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np.ndarray:
@@ -444,9 +402,9 @@ def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np
     iterate u_k lies below every feasible v.  A fixed-point return is the
     last iterate, so each of its positive entries is positive in every
     solution.  A Newton return satisfies upper <= u_k + NEWTON_REACH, so each
-    of its entries above opts.support_tol = NEWTON_REACH has u_k > 0 and lies
-    inside the support of every solution.  Either way its cardinality at
-    opts.support_tol is at most that of any solution.
+    of its entries above LeastElementOptions.support_tol = NEWTON_REACH has
+    u_k > 0 and lies inside the support of every solution.  Either way its
+    cardinality at support_tol is at most that of any solution.
 
     Raises ValueError when the instance is not a Z-tensor or has no feasible
     point, shown by a row with a_ii <= 0 whose r_i exceeds opts.tol or by
@@ -456,4 +414,43 @@ def least_element(inst: Instance, opts: LeastElementOptions | None = None) -> np
     opts = opts or LeastElementOptions()
     if not is_z_tensor(inst.tensor):
         raise ValueError("not a Z-tensor: least element is not guaranteed to exist")
-    return _monotone_least(inst, opts.tol)
+    work = semi_symmetric_instance(inst)
+    n, mfac = inst.n, inst.m - 1
+    diag = inst.tensor.as_array()[(np.arange(n),) * inst.m]
+    pos = diag > 0
+
+    u = np.zeros(n)
+    support = None
+    tried = set()
+    upper = None  # a verified Newton root: feasible, so no smaller than the least element
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(LEAST_ELEMENT_MAX_STEPS):
+            r = diag * u**mfac - (contract_m1(inst.tensor, u) + inst.q)
+            u_new = np.zeros(n)
+            u_new[pos] = (np.maximum(r[pos], 0.0) / diag[pos]) ** (1.0 / mfac)
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u_new))):
+                raise ValueError(f"infeasible: the monotone iteration is unbounded at step {step}")
+            stuck = np.flatnonzero(~pos & (r > opts.tol))
+            if stuck.size:
+                i = stuck[0]
+                raise ValueError(
+                    f"infeasible: row {i} has a_ii <= 0 and w_{i} <= {-r[i]:.3g} "
+                    f"at every u above the iterate of step {step}"
+                )
+            if np.max(np.abs(u_new - u)) <= FIXED_POINT_RTOL * max(1.0, np.max(u_new)):
+                if verify_solution(inst, u_new, opts.tol)[1]:
+                    return u_new
+            new_support = tuple(int(i) for i in np.flatnonzero(u_new > 0))
+            if new_support and new_support == support and new_support not in tried:
+                tried.add(new_support)
+                (root,), (status,) = reduced_newton(work, (u_new > 0)[None], u_new[None])
+                if status == "ok" and verify_solution(inst, root, opts.tol)[1]:
+                    upper = root
+            if (
+                upper is not None
+                and np.all(upper >= u_new - opts.tol)
+                and np.max(upper - u_new) <= NEWTON_REACH
+            ):
+                return upper
+            u, support = u_new, new_support
+    raise RuntimeError(f"no least element found after {LEAST_ELEMENT_MAX_STEPS} steps")

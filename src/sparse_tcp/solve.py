@@ -3,13 +3,13 @@
 The nonsmooth term t * sum|u_i|^p is smoothed as t * sum (u_i^2 + eps^2)^(p/2)
 and eps is annealed geometrically down to EPS_MIN inside each local solve, so
 one descent loop covers every p in (0, 1).  Every eps round but the last ends
-once the smoothed gradient norm is at most max(grad_tol, eps), the
+once the smoothed gradient norm is at most max(_GRAD_TOL, eps), the
 smoothing-gradient rule of X. Chen, "Smoothing methods for nonsmooth, nonconvex
 minimization", Math. Program. 134 (2012), with gamma = 1: the next, smaller eps
-replaces such a round anyway.  The last round runs to ||g|| <= grad_tol, so the
-returned point meets the exact stationarity test.  The driver walks a decreasing
-schedule of regularization weights with warm starts, all starts as one
-batch, thresholds the final point by the closed-form magnitude floor L, and
+replaces such a round anyway.  The last round runs to ||g|| <= _GRAD_TOL, so
+the returned point meets the exact stationarity test.  The driver walks a
+decreasing schedule of regularization weights with warm starts, all starts as
+one batch, thresholds the final point by the closed-form magnitude floor L, and
 finishes every nonzero thresholded point with semismooth Newton on the full
 Fischer-Burmeister system (De Luca, Facchinei, Kanzow, Math. Program. 75,
 1996).
@@ -18,19 +18,16 @@ The default schedule has two t-steps: one warm step at t0 = 0.1, then the
 final step at t_final = 0.1 * 2^-11, the weight a 12-step halving walk ends
 at, so L, the zero-minimizer regime and the final objective keep their
 weight.  The sparsity result is about the end of the path, and at desk
-sizes (n <= 8) the intermediate steps only seed the last one: on 120 planted
-instances both walks verify and match the plant on all 120, and the two-step
-walk takes 186 batched descent iterations per instance instead of 627, about
-a third of the time.  On 60 wider planted instances (n 48 at m 3, n 16 at
-m 4) both walks converge, verify and match the plant on the same 58, in
-0.58 s per instance against 1.35 s.  A single step (no warm start) loses
-planted seed 269 (card 5 against 2).
+sizes (n <= 8) the intermediate steps only seed the last one: the two-step
+walk verifies and matches the plant on the same planted instances as the
+12-step walk, in far fewer descent iterations.  A single step (no warm
+start) loses planted seed 269 (card 5 against 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,12 +46,22 @@ from .regpath import (
 from .tensors import Instance, ResidualReport, contract_m1, semi_symmetric_instance, tensor_norm
 
 EPS_MIN = 1e-10
+# Anneal: eps rounds _EPS0 * _EPS_FACTOR^i, the last one at EPS_MIN, at most
+# _MAX_OUTER of them, each of at most _MAX_INNER descent iterations.
+_EPS0 = 0.1
+_EPS_FACTOR = 0.3
+_MAX_OUTER = 25
+_MAX_INNER = 150
 # Eps rounds of the warm-start t-steps.  Every t-step but the last only seeds
-# the next one, so it stops annealing at eps0 * eps_factor^12 (about 5e-8
-# with the defaults) instead of paying the rounds down to EPS_MIN; the final
-# t-step anneals fully, within opts.max_outer.
+# the next one, so it stops annealing at _EPS0 * _EPS_FACTOR^12 (about 5e-8)
+# instead of paying the rounds down to EPS_MIN; the final t-step anneals fully.
 WARM_MAX_OUTER = 13
-# Step lengths alpha * shrink^j, j = 0..69, one Armijo search of the descent tries.
+# Gradient norm that ends the last eps round (and bounds the earlier rounds' stop).
+_GRAD_TOL = 1e-8
+# Armijo sufficient-decrease constant of the descent and the FB Newton finish;
+# the descent tries the step lengths alpha * _ARMIJO_SHRINK^j, j = 0..69.
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
 _ARMIJO_TRIES = 70
 # FB Newton finish: iteration cap, residual target max|Phi|, step lengths
 # 1, 1/2, ..., 2^-39 per line search, and the magnitude snapped to exact 0.
@@ -77,13 +84,6 @@ class SolveOptions:
     p: float = 0.5
     # one warm t-step, then t_final = 0.1 * 2^-11 (see the module docstring)
     schedule: Schedule = field(default_factory=lambda: Schedule(0.1, 0.5**11, 2))
-    eps0: float = 0.1
-    eps_factor: float = 0.3
-    max_outer: int = 25
-    max_inner: int = 150
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    grad_tol: float = 1e-8
     residual_tol: float = 1e-6
     starts: int = 5
     seed: int = 0
@@ -91,16 +91,10 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        for name in ("eps0", "grad_tol", "residual_tol"):
-            val = getattr(self, name)
-            if not (val > 0 and math.isfinite(val)):
-                raise ValueError(f"{name} must be finite and > 0, got {val}")
-        for name in ("eps_factor", "armijo_c", "armijo_shrink"):
-            val = getattr(self, name)
-            if not 0.0 < val < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {val}")
-        if self.max_outer < 1 or self.max_inner < 1 or self.starts < 1:
-            raise ValueError("max_outer, max_inner, starts must be >= 1")
+        if not (self.residual_tol > 0 and math.isfinite(self.residual_tol)):
+            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol}")
+        if self.starts < 1:
+            raise ValueError(f"starts must be >= 1, got {self.starts}")
 
     def to_dict(self) -> dict:
         """Every field, with the schedule flattened into t0, factor and steps."""
@@ -130,25 +124,14 @@ class SolveReport:
     options: dict
 
     def to_dict(self) -> dict:
-        return {
-            "u_final": [float(x) for x in self.u_final],
-            "residuals": self.residuals.to_dict(),
-            "support": list(self.support),
-            "L_used": self.L_used,
-            "f_history": self.f_history,
-            "t_history": self.t_history,
-            "converged": self.converged,
-            "discrepancies": self.discrepancies,
-            "card": self.card,
-            "lp_history": self.lp_history,
-            "L_statement": self.L_statement,
-            "f0_used": self.f0_used,
-            "mu_used": self.mu_used,
-            "B_hat": self.B_hat,
-            "t_final": self.t_final,
-            "per_start": self.per_start,
-            "options": self.options,
-        }
+        """Every field, with u_final, residuals and support made JSON-ready."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            u_final=[float(x) for x in self.u_final],
+            residuals=self.residuals.to_dict(),
+            support=list(self.support),
+        )
+        return out
 
 
 def smooth_objective(inst: Instance, u, params: ObjectiveParams, eps: float):
@@ -172,14 +155,15 @@ def smooth_grad(inst: Instance, u, params: ObjectiveParams, eps: float) -> np.nd
     return grad_merit(inst, u) + reg_grad
 
 
-def _eps_rounds(opts: SolveOptions) -> list[float]:
+def _eps_rounds() -> list[float]:
+    """The eps rounds of the final t-step; a warm step walks the first WARM_MAX_OUTER."""
     rounds = []
-    eps = opts.eps0
-    for _ in range(opts.max_outer):
+    eps = _EPS0
+    for _ in range(_MAX_OUTER):
         rounds.append(eps)
         if eps <= EPS_MIN:
             break
-        eps = max(eps * opts.eps_factor, EPS_MIN)
+        eps = max(eps * _EPS_FACTOR, EPS_MIN)
     return rounds
 
 
@@ -223,23 +207,23 @@ def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
     return u_new, f_new, step, found
 
 
-def _descend(inst, u0, params, opts):
+def _descend(inst, u0, params, rounds):
     """Annealed smoothing descent at fixed t for a (k, n) block of starts.
 
-    Returns (u, f_rounds, max_norm, finite): the final rows, the true
-    objective of every row after each eps round as a (rounds, k) array, each
-    row's largest iterate norm, and a mask of the rows whose smoothed
-    objective stayed finite.  A row whose objective turns non-finite at the
-    start of a round stops there and is NaN in f_rounds from that round on.
+    Returns (u, f_final, max_norm, finite): the final rows, the true
+    objective of every row after the last eps round, each row's largest
+    iterate norm, and a mask of the rows whose smoothed objective stayed
+    finite.  A row whose objective turns non-finite at the start of a round
+    stops there and is NaN in f_final.
 
-    Every row walks the same eps rounds; within a round each row keeps its own
-    Barzilai-Borwein step, Armijo test and exit (a small gradient, no step
-    accepted, a step below machine noise, or max_inner iterations), and the
+    Every row walks the given eps rounds; within a round each row keeps its
+    own Barzilai-Borwein step, Armijo test and exit (a small gradient, no step
+    accepted, a step below machine noise, or _MAX_INNER iterations), and the
     round ends when every row has exited.  A small gradient is
-    ||g|| <= max(grad_tol, eps) in every round but the last (Chen 2012, see
-    the module docstring) and ||g|| <= grad_tol in the last round, whatever
-    opts.max_outer makes the number of rounds.  The search direction is the
-    gradient scaled by the diagonal curvature of the smoothing term,
+    ||g|| <= max(_GRAD_TOL, eps) in every round but the last (Chen 2012, see
+    the module docstring) and ||g|| <= _GRAD_TOL in the last round, however
+    many rounds are given.  The search direction is the gradient scaled by
+    the diagonal curvature of the smoothing term,
     1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the stiff near-zero
     components without giving up the Armijo descent guarantee.  The smoothed
     objective is nonincreasing across accepted steps at fixed eps and can only
@@ -251,10 +235,8 @@ def _descend(inst, u0, params, opts):
     norm2 = np.einsum("ij,ij->i", u, u)  # largest squared iterate norm per row
     finite = np.ones(k, dtype=bool)
     tp, ex = params.t * params.p, params.p / 2.0 - 1.0
-    f_rounds = []
-    rounds = _eps_rounds(opts)
     for i, eps in enumerate(rounds):
-        tol = opts.grad_tol if i == len(rounds) - 1 else max(opts.grad_tol, eps)
+        tol = _GRAD_TOL if i == len(rounds) - 1 else max(_GRAD_TOL, eps)
 
         def fun(x):
             return smooth_objective(inst, x, params, eps)
@@ -267,7 +249,7 @@ def _descend(inst, u0, params, opts):
         keep = finite[idx]
         idx, x, f = idx[keep], u[idx[keep]], f[keep]
         px = None
-        for _ in range(opts.max_inner):
+        for _ in range(_MAX_INNER):
             if not idx.size:
                 break
             g = smooth_grad(inst, x, params, eps)
@@ -291,7 +273,7 @@ def _descend(inst, u0, params, opts):
                 alpha = np.minimum(np.minimum(alpha, 4.0 * pa), 1e4)
             alpha = np.maximum(alpha, 1e-18)
             x_new, f_new, step, found = _armijo(
-                inst, fun, x, f, d, slope, alpha, opts.armijo_c, opts.armijo_shrink, _ARMIJO_TRIES
+                inst, fun, x, f, d, slope, alpha, _ARMIJO_C, _ARMIJO_SHRINK, _ARMIJO_TRIES
             )
             px, pd, pa = x, d, step
             x = np.where(found[:, None], x_new, x)
@@ -305,10 +287,9 @@ def _descend(inst, u0, params, opts):
                 idx, x, f = idx[keep], x[keep], f[keep]
                 px, pd, pa = px[keep], pd[keep], pa[keep]
         u[idx] = x
-        f_round = np.full(k, np.nan)
-        f_round[finite] = objective(inst, u[finite], params)
-        f_rounds.append(f_round)
-    return u, np.array(f_rounds), np.sqrt(norm2), finite
+    f_final = np.full(k, np.nan)
+    f_final[finite] = objective(inst, u[finite], params)
+    return u, f_final, np.sqrt(norm2), finite
 
 
 def _support_tol(L: float | None) -> float:
@@ -364,12 +345,12 @@ def _initial_point(qt: np.ndarray, rng: np.random.Generator, start: int, m: int)
     return base + rng.uniform(0.0, scale, qt.size)
 
 
-def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
+def _fb_newton(inst: Instance, x0) -> np.ndarray:
     """Damped semismooth Newton on the full system Phi_FB(u) = 0, row by row.
 
     x0 is a (k, n) block of seeds advanced together.  The step solves
-    J d = -Phi with J the generalized Jacobian of _fb_parts (its degenerate
-    rows use the default (rho, xi) = (0, 0)), and an Armijo search on
+    J d = -Phi with J the generalized Jacobian of _fb_parts (a degenerate
+    pair gets (v_i, z_i) = (-1, -1)), and an Armijo search on
     ||Phi||^2 damps it over the lengths 1, 1/2, ..., 2^-39.  Each row stops
     on its own once max|Phi| <= _FB_TOL, on a singular Jacobian or non-finite
     step, or when no step length is accepted.  Entries with |x_i| <= _SNAP
@@ -392,7 +373,7 @@ def _fb_newton(inst: Instance, x0, opts: SolveOptions) -> np.ndarray:
         # along -step the slope of psi is -||Phi||^2 = -2 psi
         x_new, _, _, found = _armijo(
             inst, lambda y: merit_fb(inst, y), x[act], psi, step, 2.0 * psi, np.ones(act.size),
-            opts.armijo_c, 0.5, _FB_TRIES,
+            _ARMIJO_C, 0.5, _FB_TRIES,
         )
         act = act[found]
         x[act] = x_new[found]
@@ -434,7 +415,7 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     t_final = t_values[-1]
     p = opts.p
     final_params = ObjectiveParams(t=t_final, p=p)
-    warm_opts = replace(opts, max_outer=min(opts.max_outer, WARM_MAX_OUTER))
+    rounds = _eps_rounds()
 
     k = opts.starts
     u = np.array([_initial_point(qt, rng, start, inst.m) for start in range(k)])
@@ -450,11 +431,10 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
         rows = np.flatnonzero(live)
         if last:
             f0[rows] = objective(inst, u[rows], params)
-        u[rows], f_rounds, mx, finite = _descend(
-            inst, u[rows], params, opts if last else warm_opts
+        u[rows], f_hist[step, rows], mx, finite = _descend(
+            inst, u[rows], params, rounds if last else rounds[:WARM_MAX_OUTER]
         )
         max_norm[rows] = np.maximum(max_norm[rows], mx)
-        f_hist[step, rows] = f_rounds[-1]
         lp_hist[step, rows] = [lp_norm_p(x, p) for x in u[rows]]
         for r in rows[~finite]:
             notes[r].append(f"start {r}: diverged at t={t!r} (non-finite objective), dropped")
@@ -473,7 +453,7 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
             finish.append(r)
     if finish:
         seeds = np.concatenate([np.maximum(u[finish], 0.0), np.abs(u[finish])])
-        seeds = _fb_newton(inst, seeds, opts)
+        seeds = _fb_newton(inst, seeds)
         f_seeds = objective(inst, seeds, final_params)
         for i, r in enumerate(finish):
             L = bounds[r][0]

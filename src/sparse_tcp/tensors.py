@@ -197,14 +197,12 @@ def contract_line(A: DenseTensor, x, d) -> np.ndarray:
 def contract_m2(A: DenseTensor, u) -> np.ndarray:
     """Matrix M with M_ij = sum over i3..im of a_{i,j,i3,..,im} * u_{i3} * ... * u_{im}.
 
-    For m = 2 this is the matrix slice of the tensor itself.  For a
-    semi-symmetric tensor, M @ u equals contract_m1(A, u) and (m-1) * M is the
-    Jacobian of u -> A u^{m-1}.  A (k, n) batch of rows gives a (k, n, n)
-    stack, one matrix per row.
+    For m = 2 this is the matrix slice of the tensor itself (the Kronecker
+    power is then a row of ones).  For a semi-symmetric tensor, M @ u equals
+    contract_m1(A, u) and (m-1) * M is the Jacobian of u -> A u^{m-1}.  A
+    (k, n) batch of rows gives a (k, n, n) stack, one matrix per row.
     """
     u = _check_dim(A, u)
-    if A.m == 2:
-        return np.broadcast_to(A.entries.reshape(A.n, A.n), u.shape[:-1] + (A.n, A.n)).copy()
     cube = A.entries.reshape(A.n, A.n, A.n ** (A.m - 2))
     return (cube @ _kron_power(u.T, A.m - 2)).T.swapaxes(-1, -2)
 

@@ -133,7 +133,7 @@ def test_solve_missing_file(tmp_path):
     assert run(["solve", tmp_path / "nope.json"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--eps0", "--grad-tol", "--residual-tol"])
+@pytest.mark.parametrize("flag", ["--residual-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_solve_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
     inst_path = tmp_path / "inst.json"

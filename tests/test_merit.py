@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sparse_tcp import (
-    FbGradConfig,
     Instance,
     ObjectiveParams,
     brute_force_sparse,
@@ -133,12 +132,6 @@ def test_coercivity_probe():
         assert objective(inst, 1e3 * d, params) > objective(inst, 10.0 * d, params)
 
 
-def test_fb_grad_config_validation():
-    FbGradConfig(0.6, 0.8)  # norm exactly 1 allowed
-    with pytest.raises(ValueError):
-        FbGradConfig(1.0, 0.5)
-
-
 def test_objective_params_validation():
     with pytest.raises(ValueError):
         ObjectiveParams(t=0.0, p=0.5)
@@ -166,7 +159,7 @@ def test_batched_rows_match_one_vector_calls():
         fns = (
             lambda u: merit_fb(inst, u),
             lambda u: objective(inst, u, params),
-            lambda u: grad_merit(inst, u, FbGradConfig(0.6, 0.8)),
+            lambda u: grad_merit(inst, u),
             lambda u: smooth_objective(inst, u, params, 1e-3),
             lambda u: smooth_grad(inst, u, params, 1e-3),
         )
@@ -187,10 +180,9 @@ def test_grad_merit_requires_semi_symmetric():
 def test_grad_merit_finite_at_degenerate_points():
     # u = 0 with q = 0 makes every pair (u_i, w_i) = (0, 0)
     inst = Instance(identity_tensor(3, 3), np.zeros(3))
-    for cfg in (FbGradConfig(), FbGradConfig(0.6, 0.8)):
-        g = grad_merit(inst, np.zeros(3), cfg)
-        assert np.all(np.isfinite(g))
-        np.testing.assert_array_equal(g, np.zeros(3))
+    g = grad_merit(inst, np.zeros(3))
+    assert np.all(np.isfinite(g))
+    np.testing.assert_array_equal(g, np.zeros(3))
 
 
 def test_grad_matches_finite_differences_diagonal():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -123,16 +124,17 @@ def test_smooth_grad_linear_regime_large_eps():
 # -- batched descent ----------------------------------------------------------------
 
 
-def descend_one_start(inst, u, params, opts):
-    """The descent for one start as a plain loop: the reference for the batch."""
+def descend_one_start(inst, u, params, rounds):
+    """The descent for one start as a plain loop: the reference for the batch.
+
+    Returns the final point and its objective.
+    """
     u = np.asarray(u, dtype=float).copy()
-    f_rounds = []
-    rounds = _eps_rounds(opts)
     for i, eps in enumerate(rounds):
-        tol = opts.grad_tol if i == len(rounds) - 1 else max(opts.grad_tol, eps)
+        tol = solve_mod._GRAD_TOL if i == len(rounds) - 1 else max(solve_mod._GRAD_TOL, eps)
         fs = smooth_objective(inst, u, params, eps)
         prev_u = prev_d = alpha_prev = None
-        for _ in range(opts.max_inner):
+        for _ in range(solve_mod._MAX_INNER):
             g = smooth_grad(inst, u, params, eps)
             if float(np.linalg.norm(g)) <= tol:
                 break
@@ -149,9 +151,9 @@ def descend_one_start(inst, u, params, opts):
             for _ in range(70):
                 u_new = u - alpha * d
                 f_new = smooth_objective(inst, u_new, params, eps)
-                if math.isfinite(f_new) and f_new <= fs - opts.armijo_c * alpha * slope:
+                if math.isfinite(f_new) and f_new <= fs - solve_mod._ARMIJO_C * alpha * slope:
                     break
-                alpha *= opts.armijo_shrink
+                alpha *= solve_mod._ARMIJO_SHRINK
             else:
                 break
             alpha_prev, prev_u, prev_d = alpha, u, d
@@ -159,8 +161,7 @@ def descend_one_start(inst, u, params, opts):
             u, fs = u_new, f_new
             if step_inf < 1e-15 * (1.0 + float(np.max(np.abs(u)))):
                 break
-        f_rounds.append(float(objective(inst, u, params)))
-    return u, f_rounds
+    return u, float(objective(inst, u, params))
 
 
 @pytest.mark.parametrize("ladder_entries", [oracle._LADDER_ENTRIES, 1])
@@ -170,45 +171,46 @@ def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
     # differently in the last bits and BB steps amplify that with every
     # iteration, so the runs are short and the tolerance is a few ulps of it
     monkeypatch.setattr(oracle, "_LADDER_ENTRIES", ladder_entries)
+    monkeypatch.setattr(solve_mod, "_MAX_INNER", 8)
     rng = np.random.default_rng(5)
-    opts = SolveOptions(max_outer=3, max_inner=8)
+    rounds = _eps_rounds()[:3]
     params = ObjectiveParams(t=0.05, p=0.5)
     for n, seed in ((3, 4), (4, 11), (5, 2)):
         inst, _, _ = gen_z_feasible(n, 3, seed)
         u0 = rng.uniform(0.1, 1.5, (4, n))
         u0[0] = 0.0  # the smoothed gradient at 0 is pure merit gradient
-        u, f_rounds, max_norm, finite = _descend(inst, u0, params, opts)
-        assert finite.all() and f_rounds.shape == (3, 4)
+        u, f_final, max_norm, finite = _descend(inst, u0, params, rounds)
+        assert finite.all() and f_final.shape == (4,)
         for r in range(4):
-            ref_u, ref_f = descend_one_start(inst, u0[r], params, opts)
+            ref_u, ref_f = descend_one_start(inst, u0[r], params, rounds)
             np.testing.assert_allclose(u[r], ref_u, rtol=1e-9, atol=1e-11)
-            np.testing.assert_allclose(f_rounds[:, r], ref_f, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(f_final[r], ref_f, rtol=1e-9, atol=1e-12)
             assert max_norm[r] >= max(np.linalg.norm(u0[r]), np.linalg.norm(u[r])) - 1e-15
 
 
 def test_one_round_descent_ends_at_grad_tol():
-    # with max_outer = 1 the only round is the last one, so the relaxed
-    # ||g|| <= eps stop of the intermediate rounds must not end it
+    # with one round it is the last one, so the relaxed ||g|| <= eps stop of
+    # the intermediate rounds must not end it
     inst, _, _ = gen_z_feasible(4, 3, 7)
-    opts = SolveOptions(max_outer=1)
+    rounds = _eps_rounds()[:1]
     params = ObjectiveParams(t=0.05, p=0.5)
     rng = np.random.default_rng(0)
     u0 = np.maximum(q_tilde(inst.q), 0.1) + rng.uniform(0.0, 0.2, (3, 4))
-    u, f_rounds, _, finite = _descend(inst, u0, params, opts)
-    assert finite.all() and f_rounds.shape == (1, 3)
-    g = smooth_grad(inst, u, params, opts.eps0)
-    assert np.all(np.linalg.norm(g, axis=1) <= opts.grad_tol)
+    u, f_final, _, finite = _descend(inst, u0, params, rounds)
+    assert finite.all() and f_final.shape == (3,)
+    g = smooth_grad(inst, u, params, rounds[0])
+    assert np.all(np.linalg.norm(g, axis=1) <= solve_mod._GRAD_TOL)
 
 
 # -- one-row descent ----------------------------------------------------------------
 
 
 def descend_one_row(inst, u0, t):
-    """_descend on the one-row block u0 at the fixed weight t: (u, f_rounds, finite)."""
-    u, f_rounds, _, finite = _descend(
-        inst, np.asarray(u0, dtype=float)[None], ObjectiveParams(t=t, p=0.5), SolveOptions()
+    """_descend on the one-row block u0 at the fixed weight t: (u, f_final, finite)."""
+    u, f_final, _, finite = _descend(
+        inst, np.asarray(u0, dtype=float)[None], ObjectiveParams(t=t, p=0.5), _eps_rounds()
     )
-    return u[0], f_rounds[:, 0], finite[0]
+    return u[0], f_final[0], finite[0]
 
 
 def test_descend_one_row_diagonal():
@@ -277,18 +279,14 @@ def test_descent_trace_never_rises_beyond_slack(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_descend_one_row_overflow_is_not_finite():
-    # the row drops out with NaN objectives; the driver turns that into DivergedError
+    # the row drops out with a NaN objective; the driver turns that into DivergedError
     inst = diag_instance([-1.0, -1.0])
-    _, f_rounds, finite = descend_one_row(inst, [1e200, 1e200], 0.1)
+    _, f_final, finite = descend_one_row(inst, [1e200, 1e200], 0.1)
     assert not finite
-    assert np.all(np.isnan(f_rounds))
+    assert np.isnan(f_final)
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(eps0=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(armijo_shrink=1.0)
     with pytest.raises(ValueError):
         SolveOptions(starts=0)
     for p in (0.0, 1.0, math.nan):
@@ -296,7 +294,7 @@ def test_solve_options_validation():
             SolveOptions(p=p)
 
 
-@pytest.mark.parametrize("name", ["eps0", "grad_tol", "residual_tol"])
+@pytest.mark.parametrize("name", ["residual_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 def test_solve_options_reject_non_finite_tolerances(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
@@ -372,6 +370,16 @@ def test_solve_report_fields_and_floor():
     assert np.all(nz >= report.L_used)
     assert report.options["steps"] == 2
     assert report.t_final == report.t_history[-1] == 0.1 * 0.5**11
+
+
+def test_solve_report_dict_has_one_key_per_field():
+    report = solve_sparse_tcp(diag_instance([-1.0, 0.5]), SolveOptions(starts=2))
+    out = report.to_dict()
+    assert list(out) == [f.name for f in dataclasses.fields(report)]
+    assert out["u_final"] == [float(x) for x in report.u_final]
+    assert out["residuals"] == report.residuals.to_dict()
+    assert out["support"] == list(report.support)
+    json.dumps(out, allow_nan=False)
 
 
 def test_solve_nonzero_count_bound():
@@ -497,17 +505,17 @@ def test_fb_newton_reaches_plant_and_snaps_zeros():
     rng = np.random.default_rng(3)
     x0 = np.maximum(v + rng.uniform(-0.05, 0.05, (3, 5)), 0.0)
     x0[1, [i for i in range(5) if i not in support][0]] = 0.3  # a wrong extra entry
-    x = _fb_newton(inst, x0, SolveOptions())
+    x = _fb_newton(inst, x0)
     for row in x:
         np.testing.assert_allclose(row, v, atol=1e-12)
         assert np.all(row[v == 0.0] == 0.0)
 
 
 def test_fb_newton_degenerate_pair_uses_grad_cfg():
-    # at u = (1, 0) with q_2 = 0 the second pair is (u_2, w_2) = (0, 0); the
-    # default (rho, xi) = (0, 0) gives the Jacobian row -e_2, a regular step
+    # at u = (1, 0) with q_2 = 0 the second pair is (u_2, w_2) = (0, 0); its
+    # (v_2, z_2) = (-1, -1) gives the Jacobian row -e_2, a regular step
     inst = diag_instance([-1.0, 0.0])
-    x = _fb_newton(inst, np.array([[0.5, 0.0]]), SolveOptions())
+    x = _fb_newton(inst, np.array([[0.5, 0.0]]))
     np.testing.assert_allclose(x[0], [1.0, 0.0], atol=1e-14)
     assert x[0, 1] == 0.0
 

@@ -124,10 +124,14 @@ def test_contract_m2_identity_diag():
 
 
 def test_contract_m2_matrix_case_returns_slice():
+    # one vector, a (3, n) batch and an empty (0, n) batch
     rng = np.random.default_rng(5)
     A = random_tensor(4, 2, rng)
-    u = rng.uniform(-1.0, 1.0, 4)
-    np.testing.assert_array_equal(contract_m2(A, u), A.entries.reshape(4, 4))
+    mat = A.entries.reshape(4, 4)
+    np.testing.assert_array_equal(contract_m2(A, rng.uniform(-1.0, 1.0, 4)), mat)
+    batch = contract_m2(A, rng.uniform(-1.0, 1.0, (3, 4)))
+    np.testing.assert_array_equal(batch, np.broadcast_to(mat, (3, 4, 4)))
+    np.testing.assert_array_equal(contract_m2(A, np.empty((0, 4))), np.empty((0, 4, 4)))
 
 
 def test_contract_m2_times_u_is_contract_m1_when_semi_symmetric():
