@@ -1,18 +1,17 @@
 """Smoothing gradient descent for the regularized objective, with continuation.
 
-The nonsmooth term t * sum|u_i|^p is smoothed as t * sum (u_i^2 + eps^2)^(p/2)
-and eps is annealed geometrically down to EPS_MIN inside each local solve, so
-one descent loop covers every p in (0, 1).  Every eps round but the last ends
-once the smoothed gradient norm is at most max(_GRAD_TOL, eps), the
-smoothing-gradient rule of X. Chen, "Smoothing methods for nonsmooth, nonconvex
-minimization", Math. Program. 134 (2012), with gamma = 1: the next, smaller eps
-replaces such a round anyway.  The last round runs to ||g|| <= _GRAD_TOL, so
-the returned point meets the exact stationarity test.  The driver walks a
-decreasing schedule of regularization weights with warm starts, all starts as
-one batch, thresholds the final point by the closed-form magnitude floor L, and
-finishes every nonzero thresholded point with semismooth Newton on the full
+The nonsmooth term t * sum|u_i|^p is smoothed as t * sum (u_i^2 + eps^2)^(p/2),
+so one descent loop covers every p in (0, 1).  Every t-step anneals eps over
+the same geometric rounds _EPS_ROUNDS, from 0.1 down to 0.1 * 0.3^12 (about
+5e-8), and every round ends once the smoothed gradient norm is at most eps,
+the smoothing-gradient rule of X. Chen, "Smoothing methods for nonsmooth,
+nonconvex minimization", Math. Program. 134 (2012), with gamma = 1.  No round
+polishes to an exact stationarity test: the driver walks a decreasing
+schedule of regularization weights with warm starts, all starts as one batch,
+thresholds the final point by the closed-form magnitude floor L, and finishes
+every nonzero thresholded point with semismooth Newton on the full
 Fischer-Burmeister system (De Luca, Facchinei, Kanzow, Math. Program. 75,
-1996).
+1996), whose verified root replaces the descent's point.
 
 The default schedule has two t-steps: one warm step at t0 = 0.1, then the
 final step at t_final = 0.1 * 2^-11, the weight a 12-step halving walk ends
@@ -45,19 +44,10 @@ from .regpath import (
 )
 from .tensors import Instance, ResidualReport, contract_m1, semi_symmetric_instance, tensor_norm
 
-EPS_MIN = 1e-10
-# Anneal: eps rounds _EPS0 * _EPS_FACTOR^i, the last one at EPS_MIN, at most
-# _MAX_OUTER of them, each of at most _MAX_INNER descent iterations.
-_EPS0 = 0.1
-_EPS_FACTOR = 0.3
-_MAX_OUTER = 25
+# Anneal: the eps rounds 0.1 * 0.3^i, i < 13, of every t-step, built by
+# repeated multiplication; each round runs at most _MAX_INNER descent iterations.
+_EPS_ROUNDS = tuple(np.cumprod([0.1] + [0.3] * 12).tolist())
 _MAX_INNER = 150
-# Eps rounds of the warm-start t-steps.  Every t-step but the last only seeds
-# the next one, so it stops annealing at _EPS0 * _EPS_FACTOR^12 (about 5e-8)
-# instead of paying the rounds down to EPS_MIN; the final t-step anneals fully.
-WARM_MAX_OUTER = 13
-# Gradient norm that ends the last eps round (and bounds the earlier rounds' stop).
-_GRAD_TOL = 1e-8
 # Armijo sufficient-decrease constant of the descent and the FB Newton finish;
 # the descent tries the step lengths alpha * _ARMIJO_SHRINK^j, j = 0..69.
 _ARMIJO_C = 1e-4
@@ -155,18 +145,6 @@ def smooth_grad(inst: Instance, u, params: ObjectiveParams, eps: float) -> np.nd
     return grad_merit(inst, u) + reg_grad
 
 
-def _eps_rounds() -> list[float]:
-    """The eps rounds of the final t-step; a warm step walks the first WARM_MAX_OUTER."""
-    rounds = []
-    eps = _EPS0
-    for _ in range(_MAX_OUTER):
-        rounds.append(eps)
-        if eps <= EPS_MIN:
-            break
-        eps = max(eps * _EPS_FACTOR, EPS_MIN)
-    return rounds
-
-
 def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
     """Backtracking Armijo search along u - step * d for every row at once.
 
@@ -207,7 +185,7 @@ def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
     return u_new, f_new, step, found
 
 
-def _descend(inst, u0, params, rounds):
+def _descend(inst, u0, params):
     """Annealed smoothing descent at fixed t for a (k, n) block of starts.
 
     Returns (u, f_final, max_norm, finite): the final rows, the true
@@ -216,27 +194,24 @@ def _descend(inst, u0, params, rounds):
     finite.  A row whose objective turns non-finite at the start of a round
     stops there and is NaN in f_final.
 
-    Every row walks the given eps rounds; within a round each row keeps its
-    own Barzilai-Borwein step, Armijo test and exit (a small gradient, no step
-    accepted, a step below machine noise, or _MAX_INNER iterations), and the
-    round ends when every row has exited.  A small gradient is
-    ||g|| <= max(_GRAD_TOL, eps) in every round but the last (Chen 2012, see
-    the module docstring) and ||g|| <= _GRAD_TOL in the last round, however
-    many rounds are given.  The search direction is the gradient scaled by
-    the diagonal curvature of the smoothing term,
-    1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the stiff near-zero
-    components without giving up the Armijo descent guarantee.  The smoothed
-    objective is nonincreasing across accepted steps at fixed eps and can only
-    drop when eps shrinks, so the true objective never rises by more than the
-    smoothing slack t * n * eps^p between accepted iterates.
+    Every row walks the eps rounds _EPS_ROUNDS; within a round each row keeps
+    its own Barzilai-Borwein step, Armijo test and exit (||g|| <= eps, see the
+    module docstring; no step accepted; a step below machine noise; or
+    _MAX_INNER iterations), and the round ends when every row has exited.
+    The search direction is the gradient scaled by the diagonal curvature of
+    the smoothing term, 1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the
+    stiff near-zero components without giving up the Armijo descent
+    guarantee.  The smoothed objective is nonincreasing across accepted steps
+    at fixed eps and can only drop when eps shrinks, so the true objective
+    never rises by more than the smoothing slack t * n * eps^p between
+    accepted iterates.
     """
     u = np.array(u0, dtype=float)
     k = len(u)
     norm2 = np.einsum("ij,ij->i", u, u)  # largest squared iterate norm per row
     finite = np.ones(k, dtype=bool)
     tp, ex = params.t * params.p, params.p / 2.0 - 1.0
-    for i, eps in enumerate(rounds):
-        tol = _GRAD_TOL if i == len(rounds) - 1 else max(_GRAD_TOL, eps)
+    for eps in _EPS_ROUNDS:
 
         def fun(x):
             return smooth_objective(inst, x, params, eps)
@@ -253,7 +228,7 @@ def _descend(inst, u0, params, rounds):
             if not idx.size:
                 break
             g = smooth_grad(inst, x, params, eps)
-            keep = np.einsum("ij,ij->i", g, g) > tol**2
+            keep = np.einsum("ij,ij->i", g, g) > eps**2
             if not keep.all():
                 u[idx[~keep]] = x[~keep]
                 idx, x, f, g = idx[keep], x[keep], f[keep], g[keep]
@@ -403,86 +378,84 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     nonzero thresholded point is finished by semismooth FB Newton on the full
     system, all as one block, seeded from max(u, 0) and from |u|; the best
     verified seed replaces the point, else a note says the finish failed.
-    A start whose objective turns non-finite is dropped with a note.  The
+    A start whose objective turns non-finite is dropped with a note, so
+    floating-point overflow and invalid-value warnings are silenced.  The
     best remaining start wins by final objective, ties broken by smaller
     cardinality and then lexicographic order.
     """
     opts = opts or SolveOptions()
-    inst = semi_symmetric_instance(inst)
-    rng = np.random.default_rng(opts.seed)
-    qt = q_tilde(inst.q)
-    t_values = opts.schedule.values()
-    t_final = t_values[-1]
-    p = opts.p
-    final_params = ObjectiveParams(t=t_final, p=p)
-    rounds = _eps_rounds()
+    with np.errstate(over="ignore", invalid="ignore"):
+        inst = semi_symmetric_instance(inst)
+        rng = np.random.default_rng(opts.seed)
+        qt = q_tilde(inst.q)
+        t_values = opts.schedule.values()
+        t_final = t_values[-1]
+        p = opts.p
+        final_params = ObjectiveParams(t=t_final, p=p)
 
-    k = opts.starts
-    u = np.array([_initial_point(qt, rng, start, inst.m) for start in range(k)])
-    max_norm = np.maximum(1.0, np.linalg.norm(u, axis=1))
-    f_hist = np.full((len(t_values), k), np.nan)
-    lp_hist = np.full((len(t_values), k), np.nan)
-    f0 = np.full(k, np.nan)
-    live = np.ones(k, dtype=bool)
-    notes: list[list[str]] = [[] for _ in range(k)]
-    for step, t in enumerate(t_values):
-        params = ObjectiveParams(t=t, p=p)
-        last = step == len(t_values) - 1
-        rows = np.flatnonzero(live)
-        if last:
-            f0[rows] = objective(inst, u[rows], params)
-        u[rows], f_hist[step, rows], mx, finite = _descend(
-            inst, u[rows], params, rounds if last else rounds[:WARM_MAX_OUTER]
-        )
-        max_norm[rows] = np.maximum(max_norm[rows], mx)
-        lp_hist[step, rows] = [lp_norm_p(x, p) for x in u[rows]]
-        for r in rows[~finite]:
-            notes[r].append(f"start {r}: diverged at t={t!r} (non-finite objective), dropped")
-        live[rows[~finite]] = False
-    if not live.any():
-        raise DivergedError("every start diverged (non-finite objective)", iterate=u)
+        k = opts.starts
+        u = np.array([_initial_point(qt, rng, start, inst.m) for start in range(k)])
+        max_norm = np.maximum(1.0, np.linalg.norm(u, axis=1))
+        f_hist = np.full((len(t_values), k), np.nan)
+        lp_hist = np.full((len(t_values), k), np.nan)
+        f0 = np.full(k, np.nan)
+        live = np.ones(k, dtype=bool)
+        notes: list[list[str]] = [[] for _ in range(k)]
+        for step, t in enumerate(t_values):
+            params = ObjectiveParams(t=t, p=p)
+            rows = np.flatnonzero(live)
+            if step == len(t_values) - 1:
+                f0[rows] = objective(inst, u[rows], params)
+            u[rows], f_hist[step, rows], mx, finite = _descend(inst, u[rows], params)
+            max_norm[rows] = np.maximum(max_norm[rows], mx)
+            lp_hist[step, rows] = [lp_norm_p(x, p) for x in u[rows]]
+            for r in rows[~finite]:
+                notes[r].append(f"start {r}: diverged at t={t!r} (non-finite objective), dropped")
+            live[rows[~finite]] = False
+        if not live.any():
+            raise DivergedError("every start diverged (non-finite objective)", iterate=u)
 
-    bounds = {}  # (L, L_stmt, mu, B_hat) of every live start
-    finish = []  # starts with a nonzero thresholded point
-    for r in np.flatnonzero(live):
-        bounds[r] = _bounds(inst, p, t_final, f0[r], max_norm[r])
-        L = bounds[r][0]
-        if L is not None:
-            u[r] = threshold_by_L(u[r], L)
-        if np.any(np.abs(u[r]) > _support_tol(L)):
-            finish.append(r)
-    if finish:
-        seeds = np.concatenate([np.maximum(u[finish], 0.0), np.abs(u[finish])])
-        seeds = _fb_newton(inst, seeds)
-        f_seeds = objective(inst, seeds, final_params)
-        for i, r in enumerate(finish):
+        bounds = {}  # (L, L_stmt, mu, B_hat) of every live start
+        finish = []  # starts with a nonzero thresholded point
+        for r in np.flatnonzero(live):
+            bounds[r] = _bounds(inst, p, t_final, f0[r], max_norm[r])
             L = bounds[r][0]
-            verified = [
-                (f_seeds[j], card(seeds[j], _support_tol(L)), tuple(seeds[j]), j)
-                for j in (i, i + len(finish))
-                if _check(inst, seeds[j], opts, L)[1]
-            ]
-            if verified:
-                u[r] = seeds[min(verified)[3]]
-            else:
-                notes[r].append(f"start {r}: FB Newton finish failed")
+            if L is not None:
+                u[r] = threshold_by_L(u[r], L)
+            if np.any(np.abs(u[r]) > _support_tol(L)):
+                finish.append(r)
+        if finish:
+            seeds = np.concatenate([np.maximum(u[finish], 0.0), np.abs(u[finish])])
+            seeds = _fb_newton(inst, seeds)
+            f_seeds = objective(inst, seeds, final_params)
+            for i, r in enumerate(finish):
+                L = bounds[r][0]
+                verified = [
+                    (f_seeds[j], card(seeds[j], _support_tol(L)), tuple(seeds[j]), j)
+                    for j in (i, i + len(finish))
+                    if _check(inst, seeds[j], opts, L)[1]
+                ]
+                if verified:
+                    u[r] = seeds[min(verified)[3]]
+                else:
+                    notes[r].append(f"start {r}: FB Newton finish failed")
 
-    f_final = np.full(k, np.nan)
-    f_final[live] = objective(inst, u[live], final_params)
-    cards = {r: card(u[r], _support_tol(bounds[r][0])) for r in bounds}
-    per_start = [
-        {
-            "start": r,
-            "u_final": [float(x) for x in u[r]],
-            "f_final": float(f_final[r]) if live[r] else None,
-            "card": cards.get(r),
-            "notes": notes[r],
-        }
-        for r in range(k)
-    ]
-    best = min(bounds, key=lambda r: (f_final[r], cards[r], tuple(u[r])))
-    L, L_stmt, mu, B_hat = bounds[best]
-    residuals, converged = _check(inst, u[best], opts, L)
+        f_final = np.full(k, np.nan)
+        f_final[live] = objective(inst, u[live], final_params)
+        cards = {r: card(u[r], _support_tol(bounds[r][0])) for r in bounds}
+        per_start = [
+            {
+                "start": r,
+                "u_final": [float(x) for x in u[r]],
+                "f_final": float(f_final[r]) if live[r] else None,
+                "card": cards.get(r),
+                "notes": notes[r],
+            }
+            for r in range(k)
+        ]
+        best = min(bounds, key=lambda r: (f_final[r], cards[r], tuple(u[r])))
+        L, L_stmt, mu, B_hat = bounds[best]
+        residuals, converged = _check(inst, u[best], opts, L)
     return SolveReport(
         u_final=u[best].copy(),
         residuals=residuals,

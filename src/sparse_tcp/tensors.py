@@ -19,26 +19,28 @@ SOURCES = ("generated", "file", "paper-example")
 INSTANCE_KINDS = ("diagonal", "z_feasible", "random", "paper_example")
 
 # Largest tensor, in entries n^m, that any constructor, generator or loader
-# accepts (128 MiB of doubles); checked before anything is allocated.
+# accepts (128 MiB of doubles), and the largest order, the one dimension 2
+# reaches at that cap: a tensor is viewed with one array axis per index, so a
+# dimension-1 tensor of absurd order is refused too.  Both are checked before
+# anything is allocated.
 MAX_TENSOR_ENTRIES = 2**24
+MAX_ORDER = 24
 
 
 def _check_size(n: int, m: int) -> None:
-    """Refuse an order-m, dimension-n tensor with more than MAX_TENSOR_ENTRIES entries.
+    """Refuse a shape with n < 1, m < 2, m > MAX_ORDER or n^m > MAX_TENSOR_ENTRIES.
 
-    The power is built one factor at a time and abandoned past the cap, so an
-    absurd m read from a file never costs a big-integer evaluation of n^m.
+    The order is checked first, so an absurd m read from a file never costs a
+    big-integer evaluation of n^m.
     """
-    if n <= 1:
-        return
-    entries = 1
-    for _ in range(m):
-        entries *= n
-        if entries > MAX_TENSOR_ENTRIES:
-            raise ValueError(
-                f"tensor too large: n^m = {n}^{m} exceeds the cap of "
-                f"{MAX_TENSOR_ENTRIES} entries"
-            )
+    if n < 1 or m < 2:
+        raise ValueError(f"need dimension n >= 1 and order m >= 2, got n = {n}, m = {m}")
+    if m > MAX_ORDER:
+        raise ValueError(f"tensor too large: order m = {m} exceeds the cap of {MAX_ORDER}")
+    if n**m > MAX_TENSOR_ENTRIES:
+        raise ValueError(
+            f"tensor too large: n^m = {n}^{m} exceeds the cap of {MAX_TENSOR_ENTRIES} entries"
+        )
 
 
 @dataclass(eq=False)
@@ -50,10 +52,6 @@ class DenseTensor:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"tensor order must be >= 2, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {self.n}")
         _check_size(self.n, self.m)
         ent = np.array(self.entries, dtype=float).reshape(-1)
         if ent.size != self.n**self.m:
@@ -73,15 +71,24 @@ class DenseTensor:
     def semi_symmetric(self) -> bool:
         """True when invariant under permutations of the trailing m-1 indices."""
         if self._semi_symmetric is None:
-            arr = self.as_array()
-            ok = True
-            for perm in itertools.permutations(range(1, self.m)):
-                view = np.transpose(arr, (0, *perm))
-                if not np.allclose(arr, view, rtol=1e-13, atol=1e-13):
-                    ok = False
-                    break
-            self._semi_symmetric = ok
+            canon = _canonical_index(self.n, self.m)
+            self._semi_symmetric = bool(
+                np.allclose(self.entries, self.entries[canon], rtol=1e-13, atol=1e-13)
+            )
         return self._semi_symmetric
+
+
+def _canonical_index(n: int, m: int) -> np.ndarray:
+    """Flat index, for every entry, of the entry with the same trailing m-1 indices sorted.
+
+    Two entries share it exactly when their trailing indices are permutations
+    of each other, so it labels the classes that semi-symmetry makes equal.
+    """
+    size = n ** (m - 1)
+    idx = np.indices((n,) * (m - 1), dtype=np.min_scalar_type(n)).reshape(m - 1, size)
+    idx.sort(axis=0)
+    trailing = np.ravel_multi_index(idx, (n,) * (m - 1))
+    return (np.arange(n)[:, None] * size + trailing).reshape(-1)
 
 
 @dataclass(eq=False)
@@ -216,14 +223,14 @@ def contract_full(A: DenseTensor, u) -> float:
 def semi_symmetrize(A: DenseTensor) -> DenseTensor:
     """Average over all permutations of the trailing m-1 indices.
 
-    Preserves contract_m1 for every u; the output is a fixed point of this map.
+    Each entry becomes the mean of its class of distinct trailing orderings,
+    which is the average over all (m-1)! permutations.  Preserves contract_m1
+    for every u; the output is a fixed point of this map.
     """
-    arr = A.as_array()
-    perms = list(itertools.permutations(range(1, A.m)))
-    acc = np.zeros_like(arr)
-    for perm in perms:
-        acc += np.transpose(arr, (0, *perm))
-    out = DenseTensor(A.m, A.n, acc.reshape(-1) / len(perms))
+    canon = _canonical_index(A.n, A.m)
+    sums = np.bincount(canon, weights=A.entries, minlength=canon.size)
+    counts = np.bincount(canon, minlength=canon.size)
+    out = DenseTensor(A.m, A.n, sums[canon] / counts[canon])
     out._semi_symmetric = True
     return out
 
@@ -290,27 +297,6 @@ def example_instance() -> Instance:
     )
 
 
-def _distinct_permutations(combo: tuple[int, ...]):
-    """Every distinct ordering of a nondecreasing tuple, in lexicographic order.
-
-    Steps to the next permutation of the multiset directly, so a tuple with
-    repeated entries costs one step per distinct ordering, never (len)! steps.
-    """
-    a = list(combo)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
-
-
 def gen_z_feasible(
     n: int,
     m: int,
@@ -332,10 +318,8 @@ def gen_z_feasible(
       the support makes complementarity strict at v.
 
     The tensor is semi-symmetric by construction (entries drawn per trailing
-    multiset and replicated across its permutations).
+    multiset, at its sorted position, and copied to its other orderings).
     """
-    if n < 1 or m < 2:
-        raise ValueError("need n >= 1 and m >= 2")
     _check_size(n, m)
     rng = np.random.default_rng(seed)
     drawn_card = int(rng.integers(1, min(2, n) + 1))
@@ -358,10 +342,8 @@ def gen_z_feasible(
             if in_s[i] and all(in_s[j] for j in combo):
                 continue  # keep planted rows diagonal inside the support
             if rng.uniform() < density:
-                val = -rng.uniform(0.0, off_scale)
-                for perm in _distinct_permutations(combo):
-                    arr[(i, *perm)] = val
-    A = DenseTensor(m, n, arr.reshape(-1))
+                arr[(i, *combo)] = -rng.uniform(0.0, off_scale)
+    A = DenseTensor(m, n, arr.reshape(-1)[_canonical_index(n, m)])
     A._semi_symmetric = True
 
     v = np.zeros(n)
@@ -383,8 +365,6 @@ def gen_instance(kind: str, n: int, m: int, seed: int, card: int | None = None) 
     """
     if kind == "paper_example":
         return example_instance()
-    if n < 1 or m < 2:
-        raise ValueError("need n >= 1 and m >= 2")
     _check_size(n, m)
     if kind == "diagonal":
         rng = np.random.default_rng(seed)
@@ -425,6 +405,8 @@ def load_instance(path) -> Instance:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such instance file: {path}")
+    if p.is_dir():
+        raise ValueError(f"not an instance file: {path} is a directory")
     try:
         payload = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
@@ -445,6 +427,12 @@ def load_instance(path) -> Instance:
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
         ):
             raise ValueError(f'parse error in {path}: field "{name}" must be a numeric array')
+        try:
+            payload[name] = np.array(val, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(
+                f'parse error in {path}: field "{name}" holds a number beyond the float range'
+            ) from None
     m, n = payload["m"], payload["n"]
     try:
         _check_size(n, m)
@@ -463,8 +451,8 @@ def load_instance(path) -> Instance:
     if not isinstance(label, str):
         raise ValueError(f'parse error in {path}: field "label" must be a string')
     return Instance(
-        DenseTensor(m, n, np.array(payload["entries"])),
-        np.array(payload["q"]),
+        DenseTensor(m, n, payload["entries"]),
+        payload["q"],
         label=label,
         source="file",
     )

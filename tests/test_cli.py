@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sparse_tcp
 from sparse_tcp import gen_instance, is_z_tensor, load_instance, save_instance
@@ -131,6 +135,103 @@ def test_solve_every_start_diverging_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_solve_missing_file(tmp_path):
     assert run(["solve", tmp_path / "nope.json"]) == 2
+
+
+def test_high_order_instance_solves_quietly(tmp_path, capsys):
+    # 11! orderings of the trailing indices, 2^11 distinct ones: the symmetry
+    # check and the contractions must cost the latter, and an overflow in a
+    # probe of the descent must not reach stderr
+    inst_path = tmp_path / "high.json"
+    run(["gen", "--kind", "z_feasible", "--n", 2, "--m", 12, "--card", 1, "-o", inst_path])
+    for command in ("solve", "oracle"):
+        start = time.perf_counter()
+        assert run([command, inst_path, "-o", tmp_path / f"{command}.json"]) == 0
+        assert time.perf_counter() - start < 30.0
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_overflowing_weight_exits_3_with_one_line(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run(["gen", "--kind", "z_feasible", "--n", 3, "--m", 3, "--seed", 1, "-o", inst_path])
+    assert run(["solve", inst_path, "--t0", "1e308", "--steps", 1]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "every start diverged" in err
+
+
+def test_instance_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    for command in (["solve"], ["oracle"], ["verify", "--u", "1"]):
+        assert run([command[0], tmp_path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err
+
+
+# a value that does not belong in an instance field, or a number JSON can
+# carry but a float cannot
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-3, 30),
+    st.sampled_from([10**400, -(10**400), 1e308, float("nan"), float("inf")]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+NUMBER = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.integers(-4, 4),
+    st.sampled_from([10**400, 1e308, -1e308, float("nan"), float("inf")]),
+)
+
+
+@st.composite
+def instance_text(draw):
+    """Instance JSON text: a well-formed payload, then some fields dropped or spoiled."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    payload = {
+        "m": m,
+        "n": n,
+        "entries": draw(st.lists(NUMBER, min_size=n**m, max_size=n**m)),
+        "q": draw(st.lists(NUMBER, min_size=n, max_size=n)),
+        "label": "x",
+    }
+    for name in list(payload):
+        how = draw(st.sampled_from(["keep", "keep", "drop", "junk", "junk list"]))
+        if how == "drop":
+            del payload[name]
+        elif how == "junk":
+            payload[name] = draw(JUNK)
+        elif how == "junk list":
+            payload[name] = draw(st.lists(JUNK, max_size=9))
+    text = json.dumps(payload)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=instance_text(),
+    command=st.sampled_from(
+        [
+            ["solve"],
+            ["solve", "--t0", "1e308", "--steps", "1"],
+            ["solve", "--starts", "0"],
+            ["solve", "--p", "nan"],
+            ["oracle"],
+            ["oracle", "--least-element"],
+            ["verify", "--u", "1,1,1"],
+            ["verify", "--u", "0.5,0.5"],
+        ]
+    ),
+)
+def test_malformed_instances_end_in_one_line(tmp_path_factory, text, command):
+    # every outcome is a report (0), a refusal (2) or "not converged" (3),
+    # with at most one line on stderr and never a traceback
+    path = tmp_path_factory.mktemp("inst") / "inst.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run([command[0], path, *command[1:], "--no-timestamp"])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
 
 
 @pytest.mark.parametrize("flag", ["--residual-tol"])

@@ -40,7 +40,7 @@ from sparse_tcp import (
     tensor_norm,
     verify_solution,
 )
-from sparse_tcp.solve import _descend, _eps_rounds, _fb_newton
+from sparse_tcp.solve import _descend, _fb_newton
 
 
 def diag_instance(q):
@@ -124,19 +124,18 @@ def test_smooth_grad_linear_regime_large_eps():
 # -- batched descent ----------------------------------------------------------------
 
 
-def descend_one_start(inst, u, params, rounds):
+def descend_one_start(inst, u, params):
     """The descent for one start as a plain loop: the reference for the batch.
 
     Returns the final point and its objective.
     """
     u = np.asarray(u, dtype=float).copy()
-    for i, eps in enumerate(rounds):
-        tol = solve_mod._GRAD_TOL if i == len(rounds) - 1 else max(solve_mod._GRAD_TOL, eps)
+    for eps in solve_mod._EPS_ROUNDS:
         fs = smooth_objective(inst, u, params, eps)
         prev_u = prev_d = alpha_prev = None
         for _ in range(solve_mod._MAX_INNER):
             g = smooth_grad(inst, u, params, eps)
-            if float(np.linalg.norm(g)) <= tol:
+            if float(np.linalg.norm(g)) <= eps:
                 break
             d = g / (1.0 + params.t * params.p * (u * u + eps * eps) ** (params.p / 2.0 - 1.0))
             slope = float(g @ d)
@@ -172,34 +171,49 @@ def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
     # iteration, so the runs are short and the tolerance is a few ulps of it
     monkeypatch.setattr(oracle, "_LADDER_ENTRIES", ladder_entries)
     monkeypatch.setattr(solve_mod, "_MAX_INNER", 8)
+    monkeypatch.setattr(solve_mod, "_EPS_ROUNDS", solve_mod._EPS_ROUNDS[:3])
     rng = np.random.default_rng(5)
-    rounds = _eps_rounds()[:3]
     params = ObjectiveParams(t=0.05, p=0.5)
     for n, seed in ((3, 4), (4, 11), (5, 2)):
         inst, _, _ = gen_z_feasible(n, 3, seed)
         u0 = rng.uniform(0.1, 1.5, (4, n))
         u0[0] = 0.0  # the smoothed gradient at 0 is pure merit gradient
-        u, f_final, max_norm, finite = _descend(inst, u0, params, rounds)
+        u, f_final, max_norm, finite = _descend(inst, u0, params)
         assert finite.all() and f_final.shape == (4,)
         for r in range(4):
-            ref_u, ref_f = descend_one_start(inst, u0[r], params, rounds)
+            ref_u, ref_f = descend_one_start(inst, u0[r], params)
             np.testing.assert_allclose(u[r], ref_u, rtol=1e-9, atol=1e-11)
             np.testing.assert_allclose(f_final[r], ref_f, rtol=1e-9, atol=1e-12)
             assert max_norm[r] >= max(np.linalg.norm(u0[r]), np.linalg.norm(u[r])) - 1e-15
 
 
-def test_one_round_descent_ends_at_grad_tol():
-    # with one round it is the last one, so the relaxed ||g|| <= eps stop of
-    # the intermediate rounds must not end it
+def test_every_t_step_walks_the_same_eps_rounds(monkeypatch):
+    # the warm and the final t-step anneal alike, and no round polishes past
+    # ||g|| <= eps: the FB Newton finish, not the descent, makes the solution
     inst, _, _ = gen_z_feasible(4, 3, 7)
-    rounds = _eps_rounds()[:1]
-    params = ObjectiveParams(t=0.05, p=0.5)
-    rng = np.random.default_rng(0)
-    u0 = np.maximum(q_tilde(inst.q), 0.1) + rng.uniform(0.0, 0.2, (3, 4))
-    u, f_final, _, finite = _descend(inst, u0, params, rounds)
-    assert finite.all() and f_final.shape == (3,)
-    g = smooth_grad(inst, u, params, rounds[0])
-    assert np.all(np.linalg.norm(g, axis=1) <= solve_mod._GRAD_TOL)
+    calls = []  # (t, eps, rows, rows with ||g|| > eps) of every smooth_grad call
+    grad = solve_mod.smooth_grad
+
+    def smooth_grad_seen(inst_, u, params, eps):
+        g = grad(inst_, u, params, eps)
+        norms = np.linalg.norm(g, axis=1)
+        calls.append((params.t, eps, len(g), int(np.sum(norms > eps))))
+        return g
+
+    monkeypatch.setattr(solve_mod, "smooth_grad", smooth_grad_seen)
+    report = solve_sparse_tcp(inst, SolveOptions())
+    assert report.converged
+    t_values = SolveOptions().schedule.values()
+    for t in t_values:
+        rounds = [eps for tc, eps, _, _ in calls if tc == t]
+        walked = [eps for i, eps in enumerate(rounds) if i == 0 or eps != rounds[i - 1]]
+        assert walked == list(solve_mod._EPS_ROUNDS)
+    # a row at ||g|| <= eps leaves its round: the next call of the round has
+    # at most the rows above it (a row may also leave on the step rules)
+    for (t, eps, _, above), (t2, eps2, rows2, _) in zip(calls, calls[1:]):
+        if (t2, eps2) == (t, eps):
+            assert rows2 <= above
+    assert any(above < rows for _, _, rows, above in calls)
 
 
 # -- one-row descent ----------------------------------------------------------------
@@ -207,9 +221,8 @@ def test_one_round_descent_ends_at_grad_tol():
 
 def descend_one_row(inst, u0, t):
     """_descend on the one-row block u0 at the fixed weight t: (u, f_final, finite)."""
-    u, f_final, _, finite = _descend(
-        inst, np.asarray(u0, dtype=float)[None], ObjectiveParams(t=t, p=0.5), _eps_rounds()
-    )
+    u0 = np.asarray(u0, dtype=float)[None]
+    u, f_final, _, finite = _descend(inst, u0, ObjectiveParams(t=t, p=0.5))
     return u[0], f_final[0], finite[0]
 
 

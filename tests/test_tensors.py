@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -28,8 +30,8 @@ from sparse_tcp import (
 )
 from sparse_tcp.tensors import (
     MAX_TENSOR_ENTRIES,
+    _canonical_index,
     _check_size,
-    _distinct_permutations,
     contract_line,
     example_instance,
 )
@@ -256,6 +258,46 @@ def test_semi_symmetrize_fixed_point():
     np.testing.assert_array_equal(A.entries, B.entries)
 
 
+def permutation_average(A):
+    """Mean over every permutation of the trailing m-1 indices, one transpose each."""
+    arr = A.as_array()
+    perms = list(itertools.permutations(range(1, A.m)))
+    acc = np.zeros_like(arr)
+    for perm in perms:
+        acc += np.transpose(arr, (0, *perm))
+    return acc.reshape(-1) / len(perms)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_semi_symmetrize_is_the_permutation_average(m):
+    # the class means sum in another order than the (m-1)! transposes: equal
+    # up to (k - 1) ulps of the largest entry for classes of k <= (m-1)! entries
+    rng = np.random.default_rng(m)
+    for n in (1, 2, 3, 4):
+        A = random_tensor(n, m, rng)
+        got, ref = semi_symmetrize(A).entries, permutation_average(A)
+        if m <= 3:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            k = math.factorial(m - 1)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=(k - 1) * np.finfo(float).eps)
+
+
+def test_high_order_symmetry_is_fast():
+    # the trailing indices of an order-12 tensor have 11! (4e7) orderings,
+    # but over n = 2 only 2^11 = 2,048 distinct trailing multi-indices
+    inst, _, _ = gen_z_feasible(2, 12, 0, card=1)
+    A = DenseTensor(12, 2, inst.tensor.entries)  # fresh, so the check runs
+    start = time.perf_counter()
+    assert A.semi_symmetric()
+    B = semi_symmetrize(A)
+    assert time.perf_counter() - start < 5.0
+    np.testing.assert_allclose(B.entries, A.entries, rtol=1e-13, atol=1e-13)
+    tilted = A.entries.copy()
+    tilted[1] += 1e-3  # entry (0, ..., 0, 1), one of 11 orderings of its class
+    assert not DenseTensor(12, 2, tilted).semi_symmetric()
+
+
 def test_semi_symmetrize_two_permutation_average():
     arr = np.zeros((2, 2, 2))
     arr[0, 0, 1] = 2.0  # a_112 = 2, a_121 = 0
@@ -467,9 +509,11 @@ def test_load_rejects_booleans(tmp_path, payload, field):
 
 def test_load_rejects_oversized_shape(tmp_path):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"m": 10**9, "n": 3, "entries": [0.0], "q": [0.0] * 3}))
-    with pytest.raises(ValueError, match="too large"):
-        load_instance(path)
+    # n = 1 has one entry at any order, but the tensor is viewed with m axes
+    for n in (3, 1):
+        path.write_text(json.dumps({"m": 10**9, "n": n, "entries": [0.0], "q": [0.0] * n}))
+        with pytest.raises(ValueError, match="too large"):
+            load_instance(path)
 
 
 def test_load_missing_file(tmp_path):
@@ -498,7 +542,12 @@ def test_z_feasible_always_z():
     [(0,), (1, 1), (0, 1, 2), (0, 0, 1, 1), (0, 1, 1, 1, 2), (2, 2, 2, 2, 2), (0, 0, 1, 2, 2, 3)],
 )
 def test_distinct_permutations_match_the_set_of_all_orderings(combo):
-    got = list(_distinct_permutations(combo))
+    # the entries that share the canonical index of (0, *combo) are exactly
+    # those whose trailing indices are a distinct ordering of combo
+    shape = (max(combo) + 1,) * (len(combo) + 1)
+    canon = _canonical_index(shape[0], len(shape))
+    members = np.flatnonzero(canon == np.ravel_multi_index((0, *sorted(combo)), shape))
+    got = [tuple(int(i) for i in np.unravel_index(k, shape)[1:]) for k in members]
     assert got == sorted(set(itertools.permutations(combo)))
 
 
