@@ -5,7 +5,7 @@ Library layout:
 * tensors  — dense tensor storage, contraction kernels, instance generation
 * merit    — Fischer-Burmeister residual, merit function, gradients, objective
 * regpath  — l_p utilities, closed-form bounds, continuation schedules
-* solve    — smoothing gradient descent with continuation and an FB Newton finish
+* solve    — l_p proximal-gradient descent with continuation and an FB Newton finish
 * oracle   — exact desk-scale ground truth (enumeration, least element)
 * cli      — the `sparse-tcp` command-line front end
 """

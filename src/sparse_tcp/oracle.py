@@ -23,7 +23,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .merit import residual_fb
 from .regpath import lp_norm_p, q_tilde
 from .tensors import (
     Instance,
@@ -93,16 +92,16 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     u = np.asarray(u, dtype=float).reshape(-1)
     w = contract_m1(inst.tensor, u) + inst.q
-    feas_u = max(0.0, -float(np.min(u)))
-    feas_w = max(0.0, -float(np.min(w)))
+    feas_u = max(0.0, -float(u.min()))
+    feas_w = max(0.0, -float(w.min()))
     comp = abs(float(u @ w))
-    fb = residual_fb(inst, u)
+    fb = np.hypot(u, w) - (u + w)  # residual_fb at u, from the w above
     report = ResidualReport(
         feas_u=feas_u,
         feas_w=feas_w,
         comp=comp,
-        fb_norm=float(np.linalg.norm(fb)),
-        support=tuple(int(i) for i in np.flatnonzero(np.abs(u) > tol_zero)),
+        fb_norm=math.sqrt(fb @ fb),
+        support=tuple((np.abs(u) > tol_zero).nonzero()[0].tolist()),
         tol_zero=tol_zero,
     )
     passed = feas_u <= tol and feas_w <= tol and comp <= tol
@@ -228,8 +227,9 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     the starts of every support are stacked as rows of one masked
     reduced_newton batch on the full tensor: one batch for all sizes when
     opts.exhaustive, else one per size, so that the search stops at the first
-    size that yields a verified solution.  Every new root must pass
-    verify_solution on the original instance; roots within DEDUP_TOL of a
+    size that yields a verified solution.  The converged roots of a batch are
+    screened together on the original instance, and every new root that
+    survives must pass verify_solution there; roots within DEDUP_TOL of a
     solution already found are dropped.
     """
     opts = opts or OracleOptions()
@@ -264,9 +264,13 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
             mask[i * k : (i + 1) * k, support] = True
             x0[i * k : (i + 1) * k, support] = rng.uniform(0.05, 2.0, (k, len(support)))
         xs, statuses = reduced_newton(work, mask, x0)
-        for x, size, status in zip(xs, mask.sum(axis=1), statuses):
-            if status == "ok":
-                visit(x, int(size))
+        ok = np.array(statuses) == "ok"
+        x, size, slack = xs[ok], mask[ok].sum(axis=1), 10.0 * opts.tol
+        # one batch screens the roots: a miss by 10 tol fails verify_solution at tol
+        w = _in_blocks(inst, lambda y: contract_m1(inst.tensor, y), x) + inst.q
+        near = (x.min(axis=1) >= -slack) & (w.min(axis=1) >= -slack)
+        for r in np.flatnonzero(near & (np.abs(np.einsum("ij,ij->i", x, w)) <= slack)):
+            visit(x[r], int(size[r]))
 
     solutions.sort(key=lambda entry: (len(entry[1]), tuple(entry[0])))
     min_card = min(found_at, default=None)

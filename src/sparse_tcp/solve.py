@@ -1,26 +1,22 @@
-"""Smoothing gradient descent for the regularized objective, with continuation.
+"""Proximal-gradient descent on the l_p-regularized objective, with continuation.
 
-The nonsmooth term t * sum|u_i|^p is smoothed as t * sum (u_i^2 + eps^2)^(p/2),
-so one descent loop covers every p in (0, 1).  Every t-step anneals eps over
-the same geometric rounds _EPS_ROUNDS, from 0.1 down to 0.1 * 0.3^12 (about
-5e-8), and every round ends once the smoothed gradient norm is at most eps,
-the smoothing-gradient rule of X. Chen, "Smoothing methods for nonsmooth,
-nonconvex minimization", Math. Program. 134 (2012), with gamma = 1.  No round
-polishes to an exact stationarity test: the driver walks a decreasing
-schedule of regularization weights with warm starts, all starts as one batch,
-thresholds the final point by the closed-form magnitude floor L, and finishes
-every nonzero thresholded point with semismooth Newton on the full
-Fischer-Burmeister system (De Luca, Facchinei, Kanzow, Math. Program. 75,
-1996), whose verified root replaces the descent's point.
+At a fixed weight t the descent minimizes F(u) = merit_fb(u) + t * sum|u_i|^p
+itself: a gradient step on the merit function, then the exact scalar prox of
+alpha * t * |.|^p, which sets small entries to exactly 0.  At p = 1/2 the prox
+is the half-thresholding operator of Z. Xu, X. Chang, F. Xu, H. Zhang, IEEE
+TNNLS 23 (2012); at other p it is 0 up to a closed-form threshold and the
+larger root of x + lam p x^(p-1) = |y| beyond it (W. Zuo, D. Meng, L. Zhang,
+X. Feng, D. Zhang, ICCV 2013).  solve_sparse_tcp walks a decreasing schedule
+of weights with warm starts, all starts as one batch, thresholds the final point
+by the closed-form magnitude floor L, and finishes every nonzero thresholded
+point with semismooth Newton on the full Fischer-Burmeister system (De Luca,
+Facchinei, Kanzow, Math. Program. 75, 1996), whose verified root replaces it.
 
-The default schedule has two t-steps: one warm step at t0 = 0.1, then the
-final step at t_final = 0.1 * 2^-11, the weight a 12-step halving walk ends
-at, so L, the zero-minimizer regime and the final objective keep their
-weight.  The sparsity result is about the end of the path, and at desk
-sizes (n <= 8) the intermediate steps only seed the last one: the two-step
-walk verifies and matches the plant on the same planted instances as the
-12-step walk, in far fewer descent iterations.  A single step (no warm
-start) loses planted seed 269 (card 5 against 2).
+The default schedule has two t-steps: a warm step at t0 = 0.1, then the final
+step at t_final = 0.1 * 2^-11, where a 12-step halving walk ends, so L, the
+zero-minimizer regime and the final objective keep their weight.  At desk
+sizes (n <= 8) the intermediate steps only seed the last one; a single step
+(no warm start) loses planted seed 269 (card 5 against 2).
 """
 
 from __future__ import annotations
@@ -44,12 +40,19 @@ from .regpath import (
 )
 from .tensors import Instance, ResidualReport, contract_m1, semi_symmetric_instance, tensor_norm
 
-# Anneal: the eps rounds 0.1 * 0.3^i, i < 13, of every t-step, built by
-# repeated multiplication; each round runs at most _MAX_INNER descent iterations.
-_EPS_ROUNDS = tuple(np.cumprod([0.1] + [0.3] * 12).tolist())
+# Prox descent (see _descend): first step length of every t-step (a first step
+# of 1 sends planted seed 102 to the zero minimizer at small t), clip of the
+# Barzilai-Borwein steps, iteration cap per t-step, and the stop rules' values.
+_STEP0 = 0.1
+_STEP_MIN, _STEP_MAX = 1e-12, 1e4
 _MAX_INNER = 150
-# Armijo sufficient-decrease constant of the descent and the FB Newton finish;
-# the descent tries the step lengths alpha * _ARMIJO_SHRINK^j, j = 0..69.
+_STOP_TOL = 1e-9
+_HELD_STEPS = 5
+_HELD_TOL = 1e-4
+# Newton iterations of the prox root at p != 1/2 (it converges in far fewer).
+_PROX_ITERS = 60
+# Sufficient-decrease constant of the descent and the FB Newton finish; the
+# descent tries the step lengths alpha * _ARMIJO_SHRINK^j, j = 0..69.
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_TRIES = 70
@@ -125,9 +128,9 @@ class SolveReport:
 
 
 def smooth_objective(inst: Instance, u, params: ObjectiveParams, eps: float):
-    """merit_fb(u) + t * sum (u_i^2 + eps^2)^(p/2); a length-k array for a (k, n) batch.
+    """merit_fb(u) + t * sum (u_i^2 + eps^2)^(p/2), row-wise: F smoothed, within t * n * eps^p.
 
-    Upper-bounds the true objective and exceeds it by at most t * n * eps^p.
+    Like smooth_grad, no longer called by the solver: kept for the benchmark's tracer.
     """
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
@@ -145,22 +148,77 @@ def smooth_grad(inst: Instance, u, params: ObjectiveParams, eps: float) -> np.nd
     return grad_merit(inst, u) + reg_grad
 
 
-def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
+def _prox_threshold(lam, p: float):
+    """Largest |y| whose prox of lam * |.|^p is 0: (2-p)/(2-2p) * (2 lam (1-p))^(1/(2-p))."""
+    return (2.0 - p) / (2.0 - 2.0 * p) * (2.0 * lam * (1.0 - p)) ** (1.0 / (2.0 - p))
+
+
+def _prox_half(y, lam):
+    """argmin_x (x - y)^2 / 2 + lam |x|^(1/2), entrywise: the half-thresholding operator.
+
+    Xu et al. state it for (x - y)^2 + lam' |x|^(1/2), lam' = 2 lam; lam
+    broadcasts against y.  Entries up to the threshold are evaluated at it
+    and then replaced by 0, which keeps the computation dense.
+    """
+    a = np.abs(y)
+    thr = _prox_threshold(lam, 0.5)
+    phi = np.arccos(lam / 4.0 * (np.maximum(a, thr) / 3.0) ** -1.5)
+    x = 2.0 / 3.0 * a * (1.0 + np.cos(2.0 * np.pi / 3.0 - 2.0 / 3.0 * phi))
+    return np.where(a > thr, np.copysign(x, y), 0.0)
+
+
+def _prox_newton(y, lam, p: float):
+    """argmin_x (x - y)^2 / 2 + lam |x|^p, entrywise, for any p in (0, 1).
+
+    Above _prox_threshold it is the larger root of x + lam p x^(p-1) = |y|;
+    the left side is convex in x > 0 and exceeds |y| at x = |y|, so Newton's
+    method from |y| decreases monotonically to it.  lam broadcasts against y.
+    """
+    a = np.abs(y)
+    on = a > _prox_threshold(lam, p)
+    a, lp = a[on], np.broadcast_to(lam, y.shape)[on] * p
+    x = a.copy()
+    for _ in range(_PROX_ITERS):
+        step = (x + lp * x ** (p - 1.0) - a) / (1.0 + lp * (p - 1.0) * x ** (p - 2.0))
+        x = x - step
+        if not np.any(step > 4e-16 * x):
+            break
+    out = np.zeros_like(y)
+    out[on] = np.copysign(x, y[on])
+    return out
+
+
+def _prox_lp(y, lam, p: float):
+    """The prox of lam * |.|^p at y, entrywise: closed form at p = 1/2, else Newton."""
+    return _prox_half(y, lam) if p == 0.5 else _prox_newton(y, lam, p)
+
+
+def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries, prox=None):
     """Backtracking Armijo search along u - step * d for every row at once.
 
-    Row r accepts the first step alpha_r * shrink^j, j = 0 .. tries-1, whose
-    fun value is at most f_r - c * step * slope_r (a NaN value never is): the
-    step a backtracking loop would accept.  fun(x) maps a block of candidate
-    points to their values.  The full steps are evaluated first; the rows
-    that reject theirs evaluate the ladder of shorter steps, stopping after
-    the span of steps in which every row found its step.  Every fun call gets
-    rows of at most the oracle's _LADDER_ENTRIES Kronecker entries in all, or
-    one row.  Returns (u_new, f_new, step, found); rows with found False
-    accepted no step and hold meaningless values.
+    Row r accepts the first step alpha_r * shrink^j, j < tries, whose fun
+    value is at most f_r - c * step * slope_r (never a NaN value): the step a
+    backtracking loop would accept.  With prox, the candidate is
+    prox(u - step * d, step), and it must reach the proximal-gradient decrease
+    f_r - c / (2 step) ||candidate - u_r||^2 (slope is unused).  The rows that
+    reject their full step evaluate a ladder of shorter steps per call, each
+    call on rows of at most the oracle's _LADDER_ENTRIES Kronecker entries or
+    one row.  Returns (u_new, f_new, step, found); a row with found False
+    accepted no step and holds meaningless values.
     """
-    u_new = u - alpha[:, None] * d
+
+    def trial(rows, steps):  # candidates (len(rows), len(steps[0]), n) and their test
+        cand = u[rows, None] - steps[..., None] * d[rows, None]
+        if prox is None:
+            return cand, f[rows, None] - c * steps * slope[rows, None]
+        cand = prox(cand, steps[..., None])
+        diff = cand - u[rows, None]
+        return cand, f[rows, None] - c / (2.0 * steps) * np.einsum("ijk,ijk->ij", diff, diff)
+
+    cand, bound = trial(np.arange(alpha.size), alpha[:, None])
+    u_new = cand[:, 0]
     f_new = _in_blocks(inst, fun, u_new)
-    found = f_new <= f - c * alpha * slope
+    found = f_new <= bound[:, 0]
     if found.all():
         return u_new, f_new, alpha, found
     step = alpha.copy()
@@ -170,9 +228,9 @@ def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
     while pending.size and j < tries:
         span = min(max(1, per_call // pending.size), tries - j)
         steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
-        cand = u[pending, None, :] - steps[..., None] * d[pending, None, :]
+        cand, bound = trial(pending, steps)
         f_cand = _in_blocks(inst, fun, cand.reshape(-1, u.shape[1])).reshape(steps.shape)
-        ok = f_cand <= f[pending, None] - c * steps * slope[pending, None]
+        ok = f_cand <= bound
         rung = np.argmax(ok, axis=1)  # first accepted step of each row
         hit = ok[np.arange(pending.size), rung]
         rows, rung = pending[hit], rung[hit]
@@ -186,84 +244,59 @@ def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries):
 
 
 def _descend(inst, u0, params):
-    """Annealed smoothing descent at fixed t for a (k, n) block of starts.
+    """Proximal-gradient descent at fixed t for a (k, n) block of starts.
 
-    Returns (u, f_final, max_norm, finite): the final rows, the true
-    objective of every row after the last eps round, each row's largest
-    iterate norm, and a mask of the rows whose smoothed objective stayed
-    finite.  A row whose objective turns non-finite at the start of a round
-    stops there and is NaN in f_final.
+    Returns (u, f_final, max_norm, finite): the final rows, their objective,
+    each row's largest iterate norm, and a mask of the rows with a finite
+    objective at u0 (the others stay there, NaN in f_final).
 
-    Every row walks the eps rounds _EPS_ROUNDS; within a round each row keeps
-    its own Barzilai-Borwein step, Armijo test and exit (||g|| <= eps, see the
-    module docstring; no step accepted; a step below machine noise; or
-    _MAX_INNER iterations), and the round ends when every row has exited.
-    The search direction is the gradient scaled by the diagonal curvature of
-    the smoothing term, 1 + t*p*(u_i^2 + eps^2)^(p/2 - 1), which tames the
-    stiff near-zero components without giving up the Armijo descent
-    guarantee.  The smoothed objective is nonincreasing across accepted steps
-    at fixed eps and can only drop when eps shrinks, so the true objective
-    never rises by more than the smoothing slack t * n * eps^p between
-    accepted iterates.
+    A step is x+ = prox_{alpha t |.|^p}(x - alpha g), g the merit gradient,
+    accepted once F(x+) <= F(x) - _ARMIJO_C / (2 alpha) ||x+ - x||^2 (so F
+    never rises), halving alpha up to _ARMIJO_TRIES times.  alpha starts at
+    _STEP0, then each row takes the Barzilai-Borwein length s.s / s.y on its
+    merit gradients, clipped to [_STEP_MIN, min(4 alpha_prev, _STEP_MAX)].  A
+    row stops on the first of: max|x+ - x| / alpha <= _STOP_TOL; the support
+    unchanged over _HELD_STEPS accepted steps and max|x+ - x| / alpha <=
+    _HELD_TOL; no step accepted; _MAX_INNER iterations.
     """
     u = np.array(u0, dtype=float)
-    k = len(u)
     norm2 = np.einsum("ij,ij->i", u, u)  # largest squared iterate norm per row
-    finite = np.ones(k, dtype=bool)
-    tp, ex = params.t * params.p, params.p / 2.0 - 1.0
-    for eps in _EPS_ROUNDS:
-
-        def fun(x):
-            return smooth_objective(inst, x, params, eps)
-
-        # The rows still iterating in this round, compacted: row i of x, f,
-        # and the previous step (px, pd, pa) belongs to start idx[i].
-        idx = np.flatnonzero(finite)
-        f = fun(u[idx])
-        finite[idx[~np.isfinite(f)]] = False
-        keep = finite[idx]
-        idx, x, f = idx[keep], u[idx[keep]], f[keep]
-        px = None
-        for _ in range(_MAX_INNER):
+    f_final = objective(inst, u, params)
+    finite = np.isfinite(f_final)
+    f_final[~finite] = np.nan
+    # The rows still iterating, compacted: row i of x, f, g, alpha and held
+    # belongs to start idx[i].
+    idx = np.flatnonzero(finite)
+    x, f = u[idx], f_final[idx]
+    g = grad_merit(inst, x)
+    alpha, held = np.full(idx.size, _STEP0), np.zeros(idx.size, dtype=int)
+    for _ in range(_MAX_INNER):
+        if not idx.size:
+            break
+        x_new, f_new, step, found = _armijo(
+            inst, lambda y: objective(inst, y, params), x, f, g, None, alpha,
+            _ARMIJO_C, _ARMIJO_SHRINK, _ARMIJO_TRIES,
+            prox=lambda y, steps: _prox_lp(y, params.t * steps, params.p),
+        )
+        x_new[~found], f_new[~found] = x[~found], f[~found]  # such a row stops where it is
+        s = x_new - x
+        move = np.abs(s).max(axis=1) / step
+        held = np.where(np.all((x_new != 0.0) == (x != 0.0), axis=1), held + 1, 0)
+        stop = ~found | (move <= _STOP_TOL) | ((held >= _HELD_STEPS) & (move <= _HELD_TOL))
+        x, f = x_new, f_new
+        norm2[idx] = np.maximum(norm2[idx], np.einsum("ij,ij->i", x, x))
+        if stop.any():
+            u[idx[stop]], f_final[idx[stop]] = x[stop], f[stop]
+            idx, x, f, g, s, step, held = (a[~stop] for a in (idx, x, f, g, s, step, held))
             if not idx.size:
                 break
-            g = smooth_grad(inst, x, params, eps)
-            keep = np.einsum("ij,ij->i", g, g) > eps**2
-            if not keep.all():
-                u[idx[~keep]] = x[~keep]
-                idx, x, f, g = idx[keep], x[keep], f[keep], g[keep]
-                if px is not None:
-                    px, pd, pa = px[keep], pd[keep], pa[keep]
-                if not idx.size:
-                    break
-            d = g / (1.0 + tp * (x * x + eps * eps) ** ex)
-            slope = np.einsum("ij,ij->i", g, d)  # positive: d is a descent direction
-            if px is None:
-                alpha = np.ones(idx.size)
-            else:
-                s, y = x - px, d - pd
-                sy = np.einsum("ij,ij->i", s, y)
-                ss = np.einsum("ij,ij->i", s, s)
-                alpha = np.divide(ss, sy, out=pa.copy(), where=sy > 1e-300)
-                alpha = np.minimum(np.minimum(alpha, 4.0 * pa), 1e4)
-            alpha = np.maximum(alpha, 1e-18)
-            x_new, f_new, step, found = _armijo(
-                inst, fun, x, f, d, slope, alpha, _ARMIJO_C, _ARMIJO_SHRINK, _ARMIJO_TRIES
-            )
-            px, pd, pa = x, d, step
-            x = np.where(found[:, None], x_new, x)
-            f = np.where(found, f_new, f)
-            rows = idx[found]
-            norm2[rows] = np.maximum(norm2[rows], np.einsum("ij,ij->i", x[found], x[found]))
-            # a row exits when no step was accepted or its step fell below machine noise
-            keep = found & (step * np.abs(d).max(axis=1) >= 1e-15 * (1.0 + np.abs(x).max(axis=1)))
-            if not keep.all():
-                u[idx[~keep]] = x[~keep]
-                idx, x, f = idx[keep], x[keep], f[keep]
-                px, pd, pa = px[keep], pd[keep], pa[keep]
-        u[idx] = x
-    f_final = np.full(k, np.nan)
-    f_final[finite] = objective(inst, u[finite], params)
+        g_new = grad_merit(inst, x)
+        y = g_new - g
+        sy = np.einsum("ij,ij->i", s, y)
+        alpha = np.divide(np.einsum("ij,ij->i", s, s), sy, out=step.copy(), where=sy > 1e-300)
+        alpha = np.minimum(np.maximum(alpha, _STEP_MIN), np.minimum(4.0 * step, _STEP_MAX))
+        g = g_new
+    u[idx], f_final[idx] = x, f
     return u, f_final, np.sqrt(norm2), finite
 
 
@@ -285,9 +318,8 @@ def polish_on_support(inst: Instance, u, support, tol: float = 1e-12):
     exactly zero.  Returns the input unchanged with a flag when the reduced
     Jacobian is singular ("singular"), Newton stalls ("not_converged"), a
     polished support component goes negative, or an off-support w_j drops
-    below -tol (both "negative").  solve_sparse_tcp no longer calls it (its
-    FB Newton finish verifies the same instances without it); it stays
-    because the benchmark's tracer still hooks it by name.
+    below -tol (both "negative").  No longer called by the solver: kept
+    because the benchmark's tracer hooks it by name.
     """
     support = sorted(int(i) for i in support)
     if not support:

@@ -7,8 +7,10 @@ after construction; contractions are pure functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +60,7 @@ class DenseTensor:
             raise ValueError(
                 f"entries length {ent.size} does not match n^m = {self.n**self.m}"
             )
-        if not np.all(np.isfinite(ent)):
+        if not np.isfinite(ent).all():
             raise ValueError("tensor entries must all be finite")
         ent.setflags(write=False)
         self.entries = ent
@@ -78,17 +80,16 @@ class DenseTensor:
         return self._semi_symmetric
 
 
-def _canonical_index(n: int, m: int) -> np.ndarray:
-    """Flat index, for every entry, of the entry with the same trailing m-1 indices sorted.
-
-    Two entries share it exactly when their trailing indices are permutations
-    of each other, so it labels the classes that semi-symmetry makes equal.
-    """
-    size = n ** (m - 1)
-    idx = np.indices((n,) * (m - 1), dtype=np.min_scalar_type(n)).reshape(m - 1, size)
+def _sorted_trailing(n: int, m: int) -> np.ndarray:
+    """Flat trailing index, for every trailing tuple (i2, ..., im), of that tuple sorted."""
+    idx = np.indices((n,) * (m - 1), dtype=np.min_scalar_type(n)).reshape(m - 1, -1)
     idx.sort(axis=0)
-    trailing = np.ravel_multi_index(idx, (n,) * (m - 1))
-    return (np.arange(n)[:, None] * size + trailing).reshape(-1)
+    return np.ravel_multi_index(idx, (n,) * (m - 1))
+
+
+def _canonical_index(n: int, m: int) -> np.ndarray:
+    """Flat index of every entry with its trailing indices sorted: its semi-symmetry class."""
+    return (np.arange(n)[:, None] * n ** (m - 1) + _sorted_trailing(n, m)).reshape(-1)
 
 
 @dataclass(eq=False)
@@ -106,7 +107,7 @@ class Instance:
             raise ValueError(
                 f"dimension mismatch: len(q)={q.size}, tensor dimension n={self.tensor.n}"
             )
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("q must be finite")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
@@ -297,6 +298,90 @@ def example_instance() -> Instance:
     )
 
 
+def _plant_layout(n: int, m: int, support: tuple[int, ...]):
+    """(drawn, diag, col): where gen_z_feasible draws the entries of its tensor.
+
+    Entries go to an (n, C) array of rows by the C trailing multisets, in
+    itertools.combinations_with_replacement order.  drawn lists the flat
+    positions that draw an off-diagonal entry: all but the diagonal and, in
+    support rows, the multisets inside the support; diag lists the diagonal;
+    col maps every trailing tuple, in flat order, to its multiset's column.
+    """
+    combos = np.array(list(itertools.combinations_with_replacement(range(n), m - 1))).T
+    col = np.searchsorted(np.ravel_multi_index(combos, (n,) * (m - 1)), _sorted_trailing(n, m))
+    in_s = np.isin(np.arange(n), support)
+    diag = (combos[0] == np.arange(n)[:, None]) & (combos == combos[0]).all(axis=0)
+    drawn = ~diag & ~(in_s[:, None] & in_s[combos].all(axis=0))
+    out = np.flatnonzero(drawn), np.flatnonzero(diag), col
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+# The layouts of the 256 latest small shapes (at most 2^12 entries) are cached:
+# a planted pool reuses a few, while a big shape's would hold hundreds of MB.
+_cached_plant_layout = functools.lru_cache(maxsize=256)(_plant_layout)
+
+
+# Draws per block of _replay_draws (at least 2): bounds its memory whatever the shape.
+_DRAW_BLOCK = 2**16
+
+
+def _uniform(draws, low: float, high: float):
+    """low + (high - low) * draws: what rng.uniform(low, high) makes of rng.random() draws."""
+    return low + (high - low) * draws
+
+
+def _replay_draws(rng: np.random.Generator, head: int, count: int, density: float, tail: int):
+    """The rng.random() draws of `head` draws, `count` loop steps, then `tail` draws.
+
+    A loop step is `if rng.random() < density: x = rng.random()`.  Returns
+    (head draws, hit, x, tail draws), hit marking the steps that drew an x.
+    No loop finds the steps: a draw starts one exactly when an even number of
+    draws lie between it and the last earlier draw not below density.  Small
+    counts take one call of rng, larger ones one per _DRAW_BLOCK draws, and
+    rng may be left past the last draw returned.
+    """
+    r = rng.random(head + min(2 * count, _DRAW_BLOCK) + tail)
+    first, r = r[:head], r[head:]
+    hit, x = np.empty(count, dtype=bool), np.empty(count)
+    done = hits = 0
+    while done < count:
+        size = min(2 * (count - done), _DRAW_BLOCK)  # a step takes one or two draws
+        if r.size < size:
+            r = np.concatenate((r, rng.random(size - r.size)))
+        below = r[:size] < density
+        pos = np.arange(size)
+        run = pos - np.maximum.accumulate(np.where(below, -1, pos))  # below-density run at pos
+        starts = np.concatenate(([0], (~run[:-1] & 1).nonzero()[0] + 1))[: count - done]
+        if below[starts[-1]] and starts[-1] == size - 1:
+            starts = starts[:-1]  # its x lies past the block
+        step_hit = below[starts]
+        hit[done : done + starts.size] = step_hit
+        step_x = r[starts[step_hit] + 1]
+        x[hits : hits + step_x.size] = step_x
+        done, hits = done + starts.size, hits + step_x.size
+        r = r[starts[-1] + 1 + step_hit[-1] :]
+    if r.size < tail:
+        r = np.concatenate((r, rng.random(tail - r.size)))
+    return first, hit, x[:hits], r[:tail]
+
+
+def _planted_entries(rng, n, m, support, off_scale, density):
+    """(entries, tail): gen_z_feasible's tensor entries, shaped (n, n^(m-1)), and n draws after.
+
+    Each entry is drawn once per row and multiset and copied to the orderings
+    of the multiset; a helper, so that its temporaries die before the copy.
+    """
+    layout = _cached_plant_layout if n**m <= 2**12 else _plant_layout
+    drawn, diag, col = layout(n, m, tuple(support.tolist()))
+    head, hit, x, tail = _replay_draws(rng, n, drawn.size, density, n)
+    grid = np.zeros(n * math.comb(n + m - 2, m - 1))
+    grid[diag] = _uniform(head, 1.0, 2.0)
+    grid[drawn[hit]] = -_uniform(x, 0.0, off_scale)
+    return grid.reshape(n, -1).take(col, axis=1), tail
+
+
 def gen_z_feasible(
     n: int,
     m: int,
@@ -328,32 +413,17 @@ def gen_z_feasible(
     if not 1 <= card <= n:
         raise ValueError(f"planted cardinality {card} out of range [1, {n}]")
     support = np.sort(rng.choice(n, size=card, replace=False))
-    in_s = np.zeros(n, dtype=bool)
-    in_s[support] = True
-
-    arr = np.zeros((n,) * m)
-    diag = rng.uniform(1.0, 2.0, n)
-    for i in range(n):
-        arr[(i,) * m] = diag[i]
-    for i in range(n):
-        for combo in itertools.combinations_with_replacement(range(n), m - 1):
-            if combo == (i,) * (m - 1):
-                continue
-            if in_s[i] and all(in_s[j] for j in combo):
-                continue  # keep planted rows diagonal inside the support
-            if rng.uniform() < density:
-                arr[(i, *combo)] = -rng.uniform(0.0, off_scale)
-    A = DenseTensor(m, n, arr.reshape(-1)[_canonical_index(n, m)])
+    # every later value is one uniform draw: see _planted_entries and _replay_draws
+    entries, tail = _planted_entries(rng, n, m, support, off_scale, density)
+    A = DenseTensor(m, n, entries)
     A._semi_symmetric = True
 
     v = np.zeros(n)
-    v[support] = rng.uniform(0.5, 1.5, card)
+    v[support] = _uniform(tail[:card], 0.5, 1.5)
     q = -contract_m1(A, v)
-    for j in range(n):
-        if not in_s[j]:
-            q[j] += rng.uniform(0.1, 1.0)
+    q[v == 0.0] += _uniform(tail[card:], 0.1, 1.0)
     inst = Instance(A, q, label=f"z_feasible-n{n}-m{m}-s{seed}", source="generated")
-    return inst, v, [int(i) for i in support]
+    return inst, v, support.tolist()
 
 
 def gen_instance(kind: str, n: int, m: int, seed: int, card: int | None = None) -> Instance:
@@ -408,8 +478,8 @@ def load_instance(path) -> Instance:
     if p.is_dir():
         raise ValueError(f"not an instance file: {path} is a directory")
     try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"parse error in {path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"parse error in {path}: top-level value must be an object")
@@ -433,6 +503,8 @@ def load_instance(path) -> Instance:
             raise ValueError(
                 f'parse error in {path}: field "{name}" holds a number beyond the float range'
             ) from None
+        if not np.isfinite(payload[name]).all():  # NaN, Infinity, or a float like 1e400
+            raise ValueError(f'parse error in {path}: field "{name}" must hold finite numbers')
     m, n = payload["m"], payload["n"]
     try:
         _check_size(n, m)

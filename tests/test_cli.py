@@ -165,6 +165,20 @@ def test_instance_path_that_is_a_directory_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1 and str(tmp_path) in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"m": 3, "n": 2, "entries": [1, 1, 1, 1, 1, 1, 1, 1], "q": [1e400, 0]}'],
+    ids=["not-utf8", "q-1e400"],
+)
+def test_undecodable_or_non_finite_instance_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in (["solve"], ["oracle"], ["verify", "--u", "1,1"]):
+        assert run([command[0], path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: parse error in {path}")
+
+
 # a value that does not belong in an instance field, or a number JSON can
 # carry but a float cannot
 JUNK = st.one_of(

@@ -162,6 +162,20 @@ def test_brute_force_early_exit_not_exhaustive():
     assert not result.exhaustive
 
 
+def test_brute_force_verifies_only_screened_roots(monkeypatch):
+    # the converged roots of a batch are screened together, so verify_solution
+    # sees the empty support and one root per solution, not every converged
+    # start (about 33 calls per instance without the screen)
+    calls = []
+    real = oracle.verify_solution
+    monkeypatch.setattr(oracle, "verify_solution", lambda *a, **k: calls.append(1) or real(*a, **k))
+    found = 0
+    for i in range(12):
+        inst, _, _ = gen_z_feasible((3, 4, 5)[i % 3], 3, 1000 + i, card=(1, 2)[i // 3 % 2])
+        found += len(brute_force_sparse(inst, OracleOptions(exhaustive=True, seed=i)).solutions)
+    assert len(calls) == 12 + found
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(["random", "z_feasible"]),

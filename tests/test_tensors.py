@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from sparse_tcp import (
     semi_symmetrize,
     tensor_norm,
 )
+import sparse_tcp.tensors as tensors_mod
 from sparse_tcp.tensors import (
     MAX_TENSOR_ENTRIES,
     _canonical_index,
@@ -564,3 +566,86 @@ def test_gen_z_feasible_instances_unchanged():
         for arr in (inst.tensor.entries, inst.q, v, np.asarray(support, dtype=np.int64)):
             h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == "b34a0a818fafdc8bca840f122e02a1da04531f0e50ec28bf3c7d9bbe2341ea4d"
+
+
+def gen_digest(args):
+    h = hashlib.sha256()
+    for n, m, s, card in args:
+        inst, v, support = gen_z_feasible(n, m, s, card=card)
+        for arr in (inst.tensor.entries, inst.q, v, np.asarray(support, dtype=np.int64)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# Shapes of the bulk-draw digest: dimensions 1-48 at orders 2-6 with at most
+# 2^17 entries, each with the drawn cardinality and with cards 1 and 2.
+DIGEST_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48)
+DIGEST_ARGS = [
+    (n, m, 7 * n + m + i, card)
+    for n in DIGEST_SIZES
+    for m in range(2, 7)
+    if n**m <= 2**17
+    for i, card in enumerate((None, 1, 2))
+    if (card or 1) <= n
+]
+# The solve-planted and oracle-planted pools of benchmark seeds 0-3.
+POOL_ARGS = [
+    ((3, 4, 5)[i % 3], 3, s * 1000 + i, (1, 2)[i // 3 % 2]) for s in range(4) for i in range(123)
+]
+
+
+def test_gen_z_feasible_bulk_draws_unchanged():
+    # digests recorded with the generator that drew every entry by a scalar
+    # rng.uniform() call in a loop over rows and trailing multisets
+    assert len(DIGEST_ARGS) == 148
+    assert gen_digest(DIGEST_ARGS) == "ce4e000ed1baa725120bbc7dc093edc8f65771f4ff40bbf0b6a847d1ae9e1153"
+    assert gen_digest(POOL_ARGS) == "f89fd5999076113ff94d57db31403ef098a83fe50758732d643d1761211891be"
+
+
+def replay_loop(rng, head, count, density, tail):
+    """The scalar draws _replay_draws replays: the reference for it."""
+    first = [rng.random() for _ in range(head)]
+    hit, x = [], []
+    for _ in range(count):
+        hit.append(rng.random() < density)
+        if hit[-1]:
+            x.append(rng.random())
+    return first, hit, x, [rng.random() for _ in range(tail)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    head=st.integers(0, 3),
+    count=st.integers(0, 60),
+    density=st.floats(0.0, 1.0),
+    tail=st.integers(0, 3),
+    block=st.sampled_from([2, 3, 7, tensors_mod._DRAW_BLOCK]),
+)
+def test_replay_draws_match_the_scalar_loop(seed, head, count, density, tail, block):
+    # tiny blocks make a step straddle every block boundary
+    default = tensors_mod._DRAW_BLOCK
+    tensors_mod._DRAW_BLOCK = block
+    try:
+        got = tensors_mod._replay_draws(np.random.default_rng(seed), head, count, density, tail)
+    finally:
+        tensors_mod._DRAW_BLOCK = default
+    want = replay_loop(np.random.default_rng(seed), head, count, density, tail)
+    for a, b in zip(got, want):
+        assert a.tolist() == list(b)
+
+
+def test_load_names_the_file_for_undecodable_and_non_finite_input(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ValueError, match=f"parse error in {re.escape(str(path))}: invalid JSON"):
+        load_instance(path)
+    zeros = "[" + ", ".join(["0.0"] * 8) + "]"
+    for name, entries, q in (
+        ("q", zeros, "[1e400, 0.0]"),
+        ("q", zeros, "[0.0, NaN]"),
+        ("entries", "[-Infinity" + ", 0.0" * 7 + "]", "[0.0, 0.0]"),
+    ):
+        path.write_text(f'{{"m": 3, "n": 2, "entries": {entries}, "q": {q}}}')
+        with pytest.raises(ValueError, match=f'{re.escape(str(path))}: field "{name}" must hold finite'):
+            load_instance(path)
