@@ -61,6 +61,8 @@ class OracleResult:
     min_card: int | None
     sparse_solution: np.ndarray | None
     minimal_lp: dict = field(default_factory=dict)
+    # every support was searched, not every root found: a support's starts can all miss its
+    # root (no solution found on the tests' coupled 713 and 715, or on random n 4, m 3, 6147)
     exhaustive: bool = False
 
     def to_dict(self) -> dict:
@@ -108,26 +110,6 @@ def verify_solution(inst: Instance, u, tol: float, tol_zero: float = 1e-9):
     return report, passed
 
 
-# Cap on the Kronecker entries of one contraction over a block of rows, 0.5 MB (rows times
-# n^(m-1) times the terms per row: 1 for contract_m1, m for contract_line): for n <= 5 and
-# m = 3 a whole enumeration batch is one call, while larger batches and tensors take it in
-# row blocks.  The solver's line search blocks its rows by the same cap.
-_LADDER_ENTRIES = 2**16
-
-
-def _rows_per_call(inst: Instance, terms: int = 1) -> int:
-    return max(1, _LADDER_ENTRIES // (terms * inst.n ** (inst.m - 1)))
-
-
-def _in_blocks(inst: Instance, fun, x: np.ndarray, *cols: np.ndarray, terms: int = 1):
-    """fun(x, *cols) over row blocks of x and cols under the _LADDER_ENTRIES cap, concatenated."""
-    per_call = _rows_per_call(inst, terms)
-    if len(x) <= per_call:
-        return fun(x, *cols)
-    blocks = [slice(i, i + per_call) for i in range(0, len(x), per_call)]
-    return np.concatenate([fun(x[b], *(c[b] for c in cols)) for b in blocks])
-
-
 def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Row-wise solutions of jac[r] @ step[r] = g[r]; NaN rows where jac[r] is singular."""
     try:
@@ -142,7 +124,7 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
         return step
 
 
-# Step lengths 1, 1/2, ..., 2^-39 of a reduced Newton line search.
+# Step lengths 1, 1/2, ..., 2^-39 of reduced_newton's and the solver's FB Newton line search.
 _NEWTON_TRIES = 40
 
 
@@ -172,33 +154,26 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
     on_block = mask[:, :, None] & mask[:, None, :]  # Jacobian entries inside S_r x S_r
     off_eye = np.eye(inst.n) * ~mask[:, None, :]  # identity rows and columns off S_r
 
-    def residual(y, rows):
-        return np.where(mask[rows], contract_m1(A, y) + q, 0.0)
-
-    g = _in_blocks(inst, residual, x, np.arange(len(x)))
-    status = ["stalled"] * len(x)
+    g = np.where(mask, contract_m1(A, x) + q, 0.0)
+    status = np.full(len(x), "stalled", dtype=object)
     best = np.max(np.abs(g), axis=1)
     stale = np.zeros(len(x), dtype=int)
     act = np.arange(len(x))  # starts still iterating
     lams = 0.5 ** np.arange(_NEWTON_TRIES)  # powers of 2, so each lam^(i+j) in pairs is exact
     pairs = (lams[:, None] ** np.add.outer(np.arange(inst.m), np.arange(inst.m)).ravel()).T
 
-    def stop(rows, reason):
-        for r in rows:
-            status[r] = reason
-
     for _ in range(iters):
         done = np.max(np.abs(g[act]), axis=1) <= tol
-        stop(act[done], "ok")
+        status[act[done]] = "ok"
         act = act[~done]
         if not act.size:
             break
         jac = np.where(on_block[act], mfac * contract_m2(A, x[act]), off_eye[act])
         step = _newton_steps(jac, g[act])
         singular = ~np.all(np.isfinite(step), axis=1)
-        stop(act[singular], "singular")
+        status[act[singular]] = "singular"
         act, step = act[~singular], step[~singular]
-        coef = _in_blocks(inst, lambda y, d: contract_line(A, y, d), x[act], -step, terms=inst.m)
+        coef = contract_line(A, x[act], -step)
         coef[:, 0] += q
         coef = np.where(mask[act, None], coef, 0.0)
         gram = coef @ coef.swapaxes(1, 2)  # ||w(x - lam d)||^2 = sum_ij gram_ij lam^(i+j)
@@ -208,14 +183,14 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
         found = ok.any(axis=1)
         act, step, lam = act[found], step[found], lams[rung[found]]  # the rest stalled
         x[act] = x[act] - lam[:, None] * step
-        g[act] = _in_blocks(inst, residual, x[act], act)
+        g[act] = np.where(mask[act], contract_m1(A, x[act]) + q, 0.0)
         gn = np.max(np.abs(g[act]), axis=1)
         gained = gn < 0.7 * best[act]
         best[act[gained]] = gn[gained]
         stale[act] = np.where(gained, 0, stale[act] + 1)
         act = act[stale[act] < 8]  # no real progress: a root is not nearby
     else:
-        stop(act[np.max(np.abs(g[act]), axis=1) <= tol], "ok")
+        status[act[np.max(np.abs(g[act]), axis=1) <= tol]] = "ok"
     return x, tuple(status)
 
 
@@ -252,25 +227,27 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
             solutions.append((u, report.support, report))
             found_at.append(size)
 
-    visit(np.zeros(n), 0)  # the empty support holds one point
-    sizes = list(range(1, max_card + 1))
-    for group in [sizes] if opts.exhaustive else [[size] for size in sizes]:
-        if solutions and not opts.exhaustive:
-            break
-        supports = [list(s) for size in group for s in itertools.combinations(range(n), size)]
-        mask = np.zeros((len(supports) * k, n), dtype=bool)
-        x0 = np.zeros(mask.shape)
-        for i, support in enumerate(supports):
-            mask[i * k : (i + 1) * k, support] = True
-            x0[i * k : (i + 1) * k, support] = rng.uniform(0.05, 2.0, (k, len(support)))
-        xs, statuses = reduced_newton(work, mask, x0)
-        ok = np.array(statuses) == "ok"
-        x, size, slack = xs[ok], mask[ok].sum(axis=1), 10.0 * opts.tol
-        # one batch screens the roots: a miss by 10 tol fails verify_solution at tol
-        w = _in_blocks(inst, lambda y: contract_m1(inst.tensor, y), x) + inst.q
-        near = (x.min(axis=1) >= -slack) & (w.min(axis=1) >= -slack)
-        for r in np.flatnonzero(near & (np.abs(np.einsum("ij,ij->i", x, w)) <= slack)):
-            visit(x[r], int(size[r]))
+    # a huge instance overflows Newton rows, which then stall or go singular without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        visit(np.zeros(n), 0)  # the empty support holds one point
+        sizes = list(range(1, max_card + 1))
+        for group in [sizes] if opts.exhaustive else [[size] for size in sizes]:
+            if solutions and not opts.exhaustive:
+                break
+            supports = [list(s) for size in group for s in itertools.combinations(range(n), size)]
+            mask = np.zeros((len(supports) * k, n), dtype=bool)
+            x0 = np.zeros(mask.shape)
+            for i, support in enumerate(supports):
+                mask[i * k : (i + 1) * k, support] = True
+                x0[i * k : (i + 1) * k, support] = rng.uniform(0.05, 2.0, (k, len(support)))
+            xs, statuses = reduced_newton(work, mask, x0)
+            ok = np.array(statuses) == "ok"
+            x, size, slack = xs[ok], mask[ok].sum(axis=1), 10.0 * opts.tol
+            # one batch screens the roots: a miss by 10 tol fails verify_solution at tol
+            w = contract_m1(inst.tensor, x) + inst.q
+            near = (x.min(axis=1) >= -slack) & (w.min(axis=1) >= -slack)
+            for r in np.flatnonzero(near & (np.abs(np.einsum("ij,ij->i", x, w)) <= slack)):
+                visit(x[r], int(size[r]))
 
     solutions.sort(key=lambda entry: (len(entry[1]), tuple(entry[0])))
     min_card = min(found_at, default=None)
@@ -326,10 +303,6 @@ def sample_feasible(inst: Instance, count: int, seed: int = 0) -> list[np.ndarra
         return float(np.min(w)) >= -1e-10
 
     found: list[np.ndarray] = []
-
-    def accept(u):
-        found.append(u.copy())
-
     # Cheap anchors: zero, diagonal-scaled guesses approaching the natural
     # magnitude (q~_i / a_ii)^(1/(m-1)) from above (the feasible margins off
     # the active rows can be thin, so small inflations go first), and e-lifts.
@@ -350,7 +323,7 @@ def sample_feasible(inst: Instance, count: int, seed: int = 0) -> list[np.ndarra
         if len(found) >= count:
             break
         if feasible(u):
-            accept(u)
+            found.append(u.copy())
 
     walk_scales = (0.003, 0.01, 0.05, 0.2, 0.5)
     budget = max(60 * count, 3000)
@@ -367,7 +340,7 @@ def sample_feasible(inst: Instance, count: int, seed: int = 0) -> list[np.ndarra
             u = scale * rng.uniform(0.0, 1.0, n)
         u = np.maximum(u, 0.0)
         if feasible(u):
-            accept(u)
+            found.append(u.copy())
     return found
 
 

@@ -10,7 +10,8 @@ X. Feng, D. Zhang, ICCV 2013).  solve_sparse_tcp walks a decreasing schedule
 of weights with warm starts, all starts as one batch, thresholds the final point
 by the closed-form magnitude floor L, and finishes every nonzero thresholded
 point with semismooth Newton on the full Fischer-Burmeister system (De Luca,
-Facchinei, Kanzow, Math. Program. 75, 1996), whose verified root replaces it.
+Facchinei, Kanzow, Math. Program. 75, 1996), whose verified root replaces it,
+each of its step lengths found in closed form (see _fb_newton).
 
 The default schedule has two t-steps: a warm step at t0 = 0.1, then the final
 step at t_final = 0.1 * 2^-11, where a 12-step halving walk ends, so L, the
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .merit import ObjectiveParams, _fb_parts, _rows, grad_merit, merit_fb, objective
-from .oracle import _in_blocks, _newton_steps, _rows_per_call, reduced_newton, verify_solution
+from .oracle import _NEWTON_TRIES, _newton_steps, reduced_newton, verify_solution
 from .regpath import (
     BoundInputs,
     Schedule,
@@ -38,7 +39,15 @@ from .regpath import (
     q_tilde,
     threshold_by_L,
 )
-from .tensors import Instance, ResidualReport, contract_m1, semi_symmetric_instance, tensor_norm
+from .tensors import (
+    Instance,
+    ResidualReport,
+    block_rows,
+    contract_line,
+    contract_m1,
+    semi_symmetric_instance,
+    tensor_norm,
+)
 
 # Prox descent (see _descend): first step length of every t-step (a first step
 # of 1 sends planted seed 102 to the zero minimizer at small t), clip of the
@@ -52,15 +61,14 @@ _HELD_TOL = 1e-4
 # Newton iterations of the prox root at p != 1/2 (it converges in far fewer).
 _PROX_ITERS = 60
 # Sufficient-decrease constant of the descent and the FB Newton finish; the
-# descent tries the step lengths alpha * _ARMIJO_SHRINK^j, j = 0..69.
+# descent tries the step lengths alpha * _ARMIJO_SHRINK^j, j = 0..69, and the
+# finish the 1, 1/2, ..., 2^-39 of the oracle's _NEWTON_TRIES.
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_TRIES = 70
-# FB Newton finish: iteration cap, residual target max|Phi|, step lengths
-# 1, 1/2, ..., 2^-39 per line search, and the magnitude snapped to exact 0.
+# FB Newton finish: iteration cap, residual target max|Phi|, magnitude snapped to 0.
 _FB_ITERS = 50
 _FB_TOL = 1e-14
-_FB_TRIES = 40
 _SNAP = 1e-12
 
 
@@ -193,62 +201,59 @@ def _prox_lp(y, lam, p: float):
     return _prox_half(y, lam) if p == 0.5 else _prox_newton(y, lam, p)
 
 
-def _armijo(inst, fun, u, f, d, slope, alpha, c, shrink, tries, prox=None):
-    """Backtracking Armijo search along u - step * d for every row at once.
+def _prox_step(inst, params, x, f, g, alpha):
+    """One backtracking prox-gradient step of the descent for every row at once.
 
-    Row r accepts the first step alpha_r * shrink^j, j < tries, whose fun
-    value is at most f_r - c * step * slope_r (never a NaN value): the step a
-    backtracking loop would accept.  With prox, the candidate is
-    prox(u - step * d, step), and it must reach the proximal-gradient decrease
-    f_r - c / (2 step) ||candidate - u_r||^2 (slope is unused).  The rows that
-    reject their full step evaluate a ladder of shorter steps per call, each
-    call on rows of at most the oracle's _LADDER_ENTRIES Kronecker entries or
-    one row.  Returns (u_new, f_new, step, found); a row with found False
-    accepted no step and holds meaningless values.
+    Row r accepts the first step = alpha_r * _ARMIJO_SHRINK^j, j < _ARMIJO_TRIES,
+    whose x+ = prox_{step t |.|^p}(x_r - step g_r) has
+    F(x+) <= f_r - _ARMIJO_C / (2 step) ||x+ - x_r||^2 (never a NaN value): the
+    step a backtracking loop would accept.  The rows that reject their full
+    step evaluate a ladder of shorter steps per objective call, as many as keep
+    a call within tensors.block_rows rows (at least one each).  Returns
+    (x_new, f_new, step, found); a row with found False accepted no step and
+    holds meaningless values.
     """
 
-    def trial(rows, steps):  # candidates (len(rows), len(steps[0]), n) and their test
-        cand = u[rows, None] - steps[..., None] * d[rows, None]
-        if prox is None:
-            return cand, f[rows, None] - c * steps * slope[rows, None]
-        cand = prox(cand, steps[..., None])
-        diff = cand - u[rows, None]
-        return cand, f[rows, None] - c / (2.0 * steps) * np.einsum("ijk,ijk->ij", diff, diff)
+    def trial(rows, steps):  # candidates (len(rows), len(steps[0]), n) and their bound
+        y = x[rows, None] - steps[..., None] * g[rows, None]
+        cand = _prox_lp(y, params.t * steps[..., None], params.p)
+        dx = cand - x[rows, None]
+        return cand, f[rows, None] - _ARMIJO_C / (2.0 * steps) * np.einsum("ijk,ijk->ij", dx, dx)
 
     cand, bound = trial(np.arange(alpha.size), alpha[:, None])
-    u_new = cand[:, 0]
-    f_new = _in_blocks(inst, fun, u_new)
+    x_new = cand[:, 0]
+    f_new = objective(inst, x_new, params)
     found = f_new <= bound[:, 0]
     if found.all():
-        return u_new, f_new, alpha, found
+        return x_new, f_new, alpha, found
     step = alpha.copy()
     pending = np.flatnonzero(~found)
-    per_call = _rows_per_call(inst)
+    per_call = block_rows(inst.tensor)
     j = 1
-    while pending.size and j < tries:
-        span = min(max(1, per_call // pending.size), tries - j)
-        steps = alpha[pending, None] * shrink ** np.arange(j, j + span)
+    while pending.size and j < _ARMIJO_TRIES:
+        span = min(max(1, per_call // pending.size), _ARMIJO_TRIES - j)
+        steps = alpha[pending, None] * _ARMIJO_SHRINK ** np.arange(j, j + span)
         cand, bound = trial(pending, steps)
-        f_cand = _in_blocks(inst, fun, cand.reshape(-1, u.shape[1])).reshape(steps.shape)
+        f_cand = objective(inst, cand.reshape(-1, x.shape[1]), params).reshape(steps.shape)
         ok = f_cand <= bound
         rung = np.argmax(ok, axis=1)  # first accepted step of each row
         hit = ok[np.arange(pending.size), rung]
         rows, rung = pending[hit], rung[hit]
-        u_new[rows] = cand[hit, rung]
+        x_new[rows] = cand[hit, rung]
         f_new[rows] = f_cand[hit, rung]
         step[rows] = steps[hit, rung]
         found[rows] = True
         pending = pending[~hit]
         j += span
-    return u_new, f_new, step, found
+    return x_new, f_new, step, found
 
 
 def _descend(inst, u0, params):
     """Proximal-gradient descent at fixed t for a (k, n) block of starts.
 
-    Returns (u, f_final, max_norm, finite): the final rows, their objective,
-    each row's largest iterate norm, and a mask of the rows with a finite
-    objective at u0 (the others stay there, NaN in f_final).
+    Returns (u, f0, f_final, max_norm, finite): the final rows, the objective
+    at u0 and at u, each row's largest iterate norm, and a mask of the rows
+    with a finite objective at u0 (the others stay there, NaN in f_final).
 
     A step is x+ = prox_{alpha t |.|^p}(x - alpha g), g the merit gradient,
     accepted once F(x+) <= F(x) - _ARMIJO_C / (2 alpha) ||x+ - x||^2 (so F
@@ -261,9 +266,9 @@ def _descend(inst, u0, params):
     """
     u = np.array(u0, dtype=float)
     norm2 = np.einsum("ij,ij->i", u, u)  # largest squared iterate norm per row
-    f_final = objective(inst, u, params)
-    finite = np.isfinite(f_final)
-    f_final[~finite] = np.nan
+    f0 = objective(inst, u, params)
+    finite = np.isfinite(f0)
+    f_final = np.where(finite, f0, np.nan)
     # The rows still iterating, compacted: row i of x, f, g, alpha and held
     # belongs to start idx[i].
     idx = np.flatnonzero(finite)
@@ -273,11 +278,7 @@ def _descend(inst, u0, params):
     for _ in range(_MAX_INNER):
         if not idx.size:
             break
-        x_new, f_new, step, found = _armijo(
-            inst, lambda y: objective(inst, y, params), x, f, g, None, alpha,
-            _ARMIJO_C, _ARMIJO_SHRINK, _ARMIJO_TRIES,
-            prox=lambda y, steps: _prox_lp(y, params.t * steps, params.p),
-        )
+        x_new, f_new, step, found = _prox_step(inst, params, x, f, g, alpha)
         x_new[~found], f_new[~found] = x[~found], f[~found]  # such a row stops where it is
         s = x_new - x
         move = np.abs(s).max(axis=1) / step
@@ -297,7 +298,7 @@ def _descend(inst, u0, params):
         alpha = np.minimum(np.maximum(alpha, _STEP_MIN), np.minimum(4.0 * step, _STEP_MAX))
         g = g_new
     u[idx], f_final[idx] = x, f
-    return u, f_final, np.sqrt(norm2), finite
+    return u, f0, f_final, np.sqrt(norm2), finite
 
 
 def _support_tol(L: float | None) -> float:
@@ -355,17 +356,22 @@ def _initial_point(qt: np.ndarray, rng: np.random.Generator, start: int, m: int)
 def _fb_newton(inst: Instance, x0) -> np.ndarray:
     """Damped semismooth Newton on the full system Phi_FB(u) = 0, row by row.
 
-    x0 is a (k, n) block of seeds advanced together.  The step solves
-    J d = -Phi with J the generalized Jacobian of _fb_parts (a degenerate
-    pair gets (v_i, z_i) = (-1, -1)), and an Armijo search on
-    ||Phi||^2 damps it over the lengths 1, 1/2, ..., 2^-39.  Each row stops
-    on its own once max|Phi| <= _FB_TOL, on a singular Jacobian or non-finite
-    step, or when no step length is accepted.  Entries with |x_i| <= _SNAP
-    are set to exactly 0 in the returned rows; the caller verifies them.
+    x0 is a (k, n) block of seeds advanced together.  The step d solves
+    J d = Phi with J the generalized Jacobian of _fb_parts (a degenerate pair
+    gets (v_i, z_i) = (-1, -1)), and x - lam d takes the first lam of 1, 1/2,
+    ..., 2^-39 with ||Phi(x - lam d)||^2 <= (1 - 2 _ARMIJO_C lam) ||Phi(x)||^2,
+    the step a halving loop would take, found in closed form: w(x - lam d) is
+    a polynomial in lam (one contract_line call) and u is linear in it, so Phi
+    at all 40 lengths is elementwise.  Each row stops on its own once
+    max|Phi| <= _FB_TOL, on a singular Jacobian or non-finite step, or when no
+    step length is accepted.  Entries with |x_i| <= _SNAP are set to exactly 0
+    in the returned rows; the caller verifies them.
     """
     x = np.array(x0, dtype=float)
     act = np.arange(len(x))  # rows still iterating
     diag = np.arange(inst.n)
+    lams = 0.5 ** np.arange(_NEWTON_TRIES)
+    powers = lams[:, None] ** np.arange(inst.m)  # lam^j against the s^j coefficients
 
     for _ in range(_FB_ITERS):
         if not act.size:
@@ -376,14 +382,17 @@ def _fb_newton(inst: Instance, x0) -> np.ndarray:
         step = _newton_steps(jac, phi)
         moving = (np.max(np.abs(phi), axis=1) > _FB_TOL) & np.all(np.isfinite(step), axis=1)
         act, phi, step = act[moving], phi[moving], step[moving]
-        psi = 0.5 * np.sum(phi * phi, axis=1)
-        # along -step the slope of psi is -||Phi||^2 = -2 psi
-        x_new, _, _, found = _armijo(
-            inst, lambda y: merit_fb(inst, y), x[act], psi, step, 2.0 * psi, np.ones(act.size),
-            _ARMIJO_C, 0.5, _FB_TRIES,
-        )
+        coef = contract_line(inst.tensor, x[act], -step)
+        coef[:, 0] += inst.q
+        u = x[act, None] - lams[:, None] * step[:, None]  # (rows, lengths, n)
+        w = powers @ coef
+        trial = np.hypot(u, w) - (u + w)
+        norm2 = np.einsum("ijk,ijk->ij", trial, trial)
+        ok = norm2 <= (1.0 - 2.0 * _ARMIJO_C * lams) * np.einsum("ij,ij->i", phi, phi)[:, None]
+        rung = np.argmax(ok, axis=1)  # first accepted length of each row
+        found = ok[np.arange(act.size), rung]
         act = act[found]
-        x[act] = x_new[found]
+        x[act] = u[found, rung[found]]
     x[np.abs(x) <= _SNAP] = 0.0
     return x
 
@@ -436,9 +445,8 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
         for step, t in enumerate(t_values):
             params = ObjectiveParams(t=t, p=p)
             rows = np.flatnonzero(live)
-            if step == len(t_values) - 1:
-                f0[rows] = objective(inst, u[rows], params)
-            u[rows], f_hist[step, rows], mx, finite = _descend(inst, u[rows], params)
+            # f0 ends as the objective at the start of the final t-step
+            u[rows], f0[rows], f_hist[step, rows], mx, finite = _descend(inst, u[rows], params)
             max_norm[rows] = np.maximum(max_norm[rows], mx)
             lp_hist[step, rows] = [lp_norm_p(x, p) for x in u[rows]]
             for r in rows[~finite]:

@@ -156,6 +156,17 @@ def _check_dim(A: DenseTensor, u) -> np.ndarray:
     return u
 
 
+# Cap on the Kronecker entries of one kernel call, 0.5 MB: rows times n^(m-1) times the terms
+# per row (1 for contract_m1, m for contract_line).  At n <= 5, m = 3 an enumeration batch is
+# one call; larger batches take row blocks, and the descent sizes its step ladder by the cap.
+_BLOCK_ENTRIES = 2**16
+
+
+def block_rows(A: DenseTensor, terms: int = 1) -> int:
+    """Rows of one kernel call under the _BLOCK_ENTRIES cap (at least 1), at terms per row."""
+    return max(1, _BLOCK_ENTRIES // (terms * A.n ** (A.m - 1)))
+
+
 def _kron_power(u: np.ndarray, k: int) -> np.ndarray:
     """k-fold Kronecker power along the first axis: shape (n, ...) -> (n^k, ...)."""
     if k == 0:
@@ -181,10 +192,15 @@ def contract_m1(A: DenseTensor, u) -> np.ndarray:
     """(A u^{m-1})_i = sum over i2..im of a_{i,i2,..,im} * u_{i2} * ... * u_{im}.
 
     u is one vector of length n or a (k, n) batch of rows; the result has the
-    same shape, row r being the contraction with u[r].
+    same shape, row r being the contraction with u[r].  A batch is taken in
+    blocks of block_rows(A) rows.
     """
     u = _check_dim(A, u)
     mat = A.entries.reshape(A.n, A.n ** (A.m - 1))
+    # len(u) > block_rows(A), checked inline: a one-block call makes no further call
+    if u.ndim == 2 and len(u) > 1 and len(u) * mat.shape[1] > _BLOCK_ENTRIES:
+        per = block_rows(A)
+        return np.concatenate([contract_m1(A, u[i : i + per]) for i in range(0, len(u), per)])
     return (mat @ _kron_power(u.T, A.m - 1)).T
 
 
@@ -193,10 +209,15 @@ def contract_line(A: DenseTensor, x, d) -> np.ndarray:
 
     x and d are one vector of length n or (k, n) batches of rows.  Entry j of
     the result (axis -2) is the coefficient vector of s^j, j = 0 .. m-1: an
-    (m, n) array for one vector, (k, m, n) for a batch.
+    (m, n) array for one vector, (k, m, n) for a batch, taken in blocks of
+    block_rows(A, m) rows.
     """
     x, d = _check_dim(A, x), _check_dim(A, d)
     mat = A.entries.reshape(A.n, A.n ** (A.m - 1))
+    if x.ndim == 2 and len(x) > 1 and len(x) * A.m * mat.shape[1] > _BLOCK_ENTRIES:
+        per = block_rows(A, A.m)
+        blocks = range(0, len(x), per)
+        return np.concatenate([contract_line(A, x[i : i + per], d[i : i + per]) for i in blocks])
     # contiguous columns: the broadcasts then run along rows, several times faster
     kron = _kron_line(np.ascontiguousarray(x.T), np.ascontiguousarray(d.T), A.m - 1)
     return (mat @ kron.reshape(len(kron), kron[0].size)).reshape((A.n,) + kron.shape[1:]).T

@@ -423,10 +423,13 @@ def test_oracle_bad_option_exits_2_before_enumerating(tmp_path, capsys, monkeypa
     assert not report_path.exists()
 
 
-def test_oracle_guard_large_n(tmp_path):
+def test_oracle_guard_large_n(tmp_path, capsys):
     inst_path = tmp_path / "big.json"
     save_instance(gen_instance("diagonal", 9, 2, 0), inst_path)
     assert run(["oracle", inst_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"n <= {sparse_tcp.oracle.N_MAX}" in err and "n = 9" in err
 
 
 def test_verify_pass_and_fail(tmp_path):

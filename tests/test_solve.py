@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sparse_tcp.solve as solve_mod
 import sparse_tcp.oracle as oracle
+import sparse_tcp.solve as solve_mod
+import sparse_tcp.tensors as tensors_mod
 from sparse_tcp import (
     BoundInputs,
     DivergedError,
@@ -29,6 +30,7 @@ from sparse_tcp import (
     grad_merit,
     identity_tensor,
     lp_norm_p,
+    merit_fb,
     minimal_lp_select,
     objective,
     polish_on_support,
@@ -40,6 +42,7 @@ from sparse_tcp import (
     tensor_norm,
     verify_solution,
 )
+from sparse_tcp.merit import _fb_parts
 from sparse_tcp.solve import _descend, _fb_newton
 
 
@@ -201,13 +204,13 @@ def descend_one_start(inst, u, params):
     return x, f
 
 
-@pytest.mark.parametrize("ladder_entries", [oracle._LADDER_ENTRIES, 1])
-def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
+@pytest.mark.parametrize("block_entries", [tensors_mod._BLOCK_ENTRIES, 1])
+def test_batched_descent_matches_one_start_loop(monkeypatch, block_entries):
     # rows of a batch follow their own BB steps, backtracking and exits.  The
     # kernels round batches differently in the last bits and BB steps amplify
     # that with every iteration, so the runs are short and the tolerance is a
     # few ulps of it
-    monkeypatch.setattr(oracle, "_LADDER_ENTRIES", ladder_entries)
+    monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(solve_mod, "_MAX_INNER", 8)
     rng = np.random.default_rng(5)
     for n, seed, p in ((3, 4, 0.5), (4, 11, 0.5), (5, 2, 0.3)):
@@ -215,8 +218,9 @@ def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
         inst, _, _ = gen_z_feasible(n, 3, seed)
         u0 = rng.uniform(0.1, 1.5, (4, n))
         u0[0] = 0.0  # the prox of a step from 0 may keep every entry at 0
-        u, f_final, max_norm, finite = _descend(inst, u0, params)
+        u, f0, f_final, max_norm, finite = _descend(inst, u0, params)
         assert finite.all() and f_final.shape == (4,)
+        np.testing.assert_array_equal(f0, objective(inst, u0, params))
         for r in range(4):
             ref_u, ref_f = descend_one_start(inst, u0[r], params)
             np.testing.assert_allclose(u[r], ref_u, rtol=1e-9, atol=1e-11)
@@ -227,18 +231,18 @@ def test_batched_descent_matches_one_start_loop(monkeypatch, ladder_entries):
 def descent_steps(monkeypatch):
     """Collect the line searches of one-row descents: call it, then steps(u0) after each.
 
-    steps(u0) lists (x, x_new, step, found) per _armijo call, x being the
+    steps(u0) lists (x, x_new, step, found) per _prox_step call, x being the
     point the search started from: u0, then each accepted point.
     """
     calls = []
-    armijo = solve_mod._armijo
+    prox_step = solve_mod._prox_step
 
-    def armijo_seen(*args, **kwargs):
-        x_new, f_new, step, found = armijo(*args, **kwargs)
+    def prox_step_seen(*args, **kwargs):
+        x_new, f_new, step, found = prox_step(*args, **kwargs)
         calls.append((x_new[0].copy(), float(step[0]), bool(found[0])))
         return x_new, f_new, step, found
 
-    monkeypatch.setattr(solve_mod, "_armijo", armijo_seen)
+    monkeypatch.setattr(solve_mod, "_prox_step", prox_step_seen)
 
     def steps(u0):
         x, out = np.asarray(u0, dtype=float), []
@@ -308,7 +312,7 @@ def test_descent_rows_stop_by_the_rule(monkeypatch):
 def descend_one_row(inst, u0, t, p=0.5):
     """_descend on the one-row block u0 at the fixed weight t: (u, f_final, finite)."""
     u0 = np.asarray(u0, dtype=float)[None]
-    u, f_final, _, finite = _descend(inst, u0, ObjectiveParams(t=t, p=p))
+    u, _, f_final, _, finite = _descend(inst, u0, ObjectiveParams(t=t, p=p))
     return u[0], f_final[0], finite[0]
 
 
@@ -586,6 +590,79 @@ def test_fb_newton_reaches_plant_and_snaps_zeros():
     for row in x:
         np.testing.assert_allclose(row, v, atol=1e-12)
         assert np.all(row[v == 0.0] == 0.0)
+
+
+def fb_newton_one_row(inst, x0):
+    """The FB Newton finish for one seed as a plain loop: the reference for the batch.
+
+    It halves lam from 1 until merit_fb(x - lam d) <= (1 - 2 c lam) merit_fb(x),
+    at most _NEWTON_TRIES times.
+    """
+    x = np.array(x0, dtype=float)
+    diag = np.arange(inst.n)
+    for _ in range(solve_mod._FB_ITERS):
+        phi, v, z, mat = _fb_parts(inst, x)
+        if np.max(np.abs(phi)) <= solve_mod._FB_TOL:
+            break
+        jac = (inst.m - 1) * z[:, None] * mat
+        jac[diag, diag] += v
+        try:
+            step = np.linalg.solve(jac, phi)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        lam, psi = 1.0, 0.5 * float(phi @ phi)
+        for _ in range(oracle._NEWTON_TRIES):
+            if merit_fb(inst, x - lam * step) <= (1.0 - 2.0 * solve_mod._ARMIJO_C * lam) * psi:
+                break
+            lam *= 0.5
+        else:
+            break  # no step length accepted
+        x = x - lam * step
+    x[np.abs(x) <= solve_mod._SNAP] = 0.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "block_entries, armijo_c",
+    [(tensors_mod._BLOCK_ENTRIES, solve_mod._ARMIJO_C), (1, solve_mod._ARMIJO_C),
+     (tensors_mod._BLOCK_ENTRIES, 0.4)],
+)
+def test_fb_newton_matches_one_row_loop(monkeypatch, block_entries, armijo_c):
+    # the closed-form step length, from one contract_line call per iteration,
+    # is the one a halving loop on merit_fb takes, whether the kernel takes
+    # the rows in one call or one by one, and also under a demanding decrease
+    # constant that rejects many full steps.  Seeds near a plant converge.  On
+    # the random instance most seeds stall where no step length passes, at a
+    # flat local minimum of merit_fb: there the two evaluations' rounding
+    # picks different last steps, so the rows agree in merit, not to the ulp
+    monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(solve_mod, "_ARMIJO_C", armijo_c)
+    rng = np.random.default_rng(7)
+    for n, m, seed in ((4, 3, 1), (5, 3, 8), (3, 4, 2)):
+        inst, v, _ = gen_z_feasible(n, m, seed)
+        seeds = np.concatenate([
+            np.maximum(v + rng.uniform(-0.3, 0.3, (3, n)), 0.0),
+            rng.uniform(0.0, 2.0, (3, n)),
+        ])
+        x = _fb_newton(inst, seeds)
+        for r in range(len(seeds)):
+            np.testing.assert_allclose(x[r], fb_newton_one_row(inst, seeds[r]), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(x[0], v, atol=1e-12)
+    inst = tensors_mod.semi_symmetric_instance(gen_instance("random", 4, 3, 1))
+    seeds = rng.uniform(0.0, 2.0, (6, 4))
+    x = _fb_newton(inst, seeds)
+    stalled = 0
+    for r in range(len(seeds)):
+        ref = fb_newton_one_row(inst, seeds[r])
+        if merit_fb(inst, ref) < 1e-20:
+            np.testing.assert_allclose(x[r], ref, rtol=0, atol=1e-12)
+        else:
+            stalled += 1
+            np.testing.assert_allclose(merit_fb(inst, x[r]), merit_fb(inst, ref), rtol=1e-10)
+            np.testing.assert_allclose(x[r], ref, rtol=0, atol=1e-6)
+    assert 1 <= stalled < len(seeds)
 
 
 def test_fb_newton_degenerate_pair_uses_grad_cfg():

@@ -227,6 +227,36 @@ def test_contract_line_is_contract_m1_along_the_line(m):
                 )
 
 
+@pytest.mark.parametrize("n, m", [(3, 3), (5, 3), (4, 4), (2, 6)])
+def test_kernels_in_row_blocks_match_one_call(monkeypatch, n, m):
+    # a batch above the block cap is contracted block by block; every block
+    # size gives the one-call rows to a few ulps of the terms summed, and a
+    # one-vector call takes the same path as a one-row batch
+    rng = np.random.default_rng(n * m)
+    A = random_tensor(n, m, rng)
+    x, d = rng.uniform(-2.0, 2.0, (7, n)), rng.uniform(-2.0, 2.0, (7, n))
+    whole_m1, whole_line = contract_m1(A, x), contract_line(A, x, d)
+    assert tensors_mod.block_rows(A) == tensors_mod._BLOCK_ENTRIES // n ** (m - 1) >= 7
+    atol_m1 = 8 * np.finfo(float).eps * term_scale(A, x).max()
+    atol_line = 8 * np.finfo(float).eps * term_scale(A, np.abs(x) + np.abs(d)).max()
+    # blocks of 1 row each, then of 2m and 3 rows (contract_m1) or 2 and 1 (contract_line)
+    for entries in (1, 2 * m * n ** (m - 1), 3 * n ** (m - 1)):
+        monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", entries)
+        np.testing.assert_allclose(contract_m1(A, x), whole_m1, rtol=0, atol=atol_m1)
+        np.testing.assert_allclose(contract_line(A, x, d), whole_line, rtol=0, atol=atol_line)
+        np.testing.assert_array_equal(contract_m1(A, x[2]), contract_m1(A, x[2:3])[0])
+        assert contract_m1(A, x[:0]).shape == (0, n)
+        assert contract_line(A, x[:0], d[:0]).shape == (0, m, n)
+
+
+def test_block_rows_at_the_cap():
+    # the 2^16-entry cap: 28 rows of n 48, m 3 per contract_m1 call, 9 per
+    # contract_line call (3 terms a row), and never fewer than one row
+    A = DenseTensor(3, 48, np.zeros(48**3))
+    assert tensors_mod.block_rows(A) == 28 and tensors_mod.block_rows(A, 3) == 9
+    assert tensors_mod.block_rows(DenseTensor(18, 2, np.zeros(2**18))) == 1
+
+
 def term_scale(A, u):
     """|A| |u|^(m-1): the size of the terms a contraction sums, which bounds
     its rounding error even where the terms cancel."""
