@@ -4,6 +4,9 @@ The FB function phi(a, b) = sqrt(a^2 + b^2) - (a + b) vanishes exactly on the
 complementarity set {a >= 0, b >= 0, ab = 0}, so the stacked residual over
 (u_i, w_i) with w = A u^{m-1} + q vanishes exactly at TCP solutions.  The merit
 function is half its squared norm, and its gradient is smooth everywhere.
+
+One contract_m2 stack per batch of rows (_fb_eval) gives the residual and the
+parts from which _fb_grad forms the gradient, so a point is contracted once.
 """
 
 from __future__ import annotations
@@ -57,40 +60,44 @@ def merit_fb(inst: Instance, u):
     return 0.5 * (r * r).sum(axis=-1)
 
 
-def _fb_parts(inst: Instance, u):
-    """(phi, v, z, M): the FB residual and the pieces of its generalized Jacobian.
+def _fb_eval(inst: Instance, u):
+    """(phi, w, r, M) of the rows u: the FB residual from one contract_m2 stack M.
 
-    The Jacobian element is diag(v) + diag(z) (m-1) M(u), with
-    v_i = u_i / r_i - 1 and z_i = w_i / r_i - 1 where r_i = ||(u_i, w_i)||,
-    and (v_i, z_i) = (-1, -1) where r_i = 0.  The tensor must be
-    semi-symmetric: then (m-1) M = (m-1) contract_m2 is the Jacobian of
-    u -> A u^{m-1}, and w = M u + q comes from the same stack.  A (k, n)
-    batch of rows gives (k, n) pieces and a (k, n, n) stack M.
+    w = M u + q and r_i = ||(u_i, w_i)||.  The tensor must be semi-symmetric:
+    then M u = A u^{m-1}, and (m-1) M is the Jacobian of u -> A u^{m-1}.  A
+    (k, n) batch of rows gives (k, n) pieces and a (k, n, n) stack M.
     """
-    u = _rows(u)
     mat = contract_m2(inst.tensor, u)
     w = (mat @ u[..., None])[..., 0] + inst.q
     r = np.hypot(u, w)
-    phi = r - (u + w)
-    nondeg = r > 0.0
-    v = np.divide(u, r, out=np.zeros_like(u), where=nondeg) - 1.0
-    z = np.divide(w, r, out=np.zeros_like(u), where=nondeg) - 1.0
-    return phi, v, z, mat
+    return r - (u + w), w, r, mat
+
+
+def _fb_slopes(u, w, r):
+    """(v, z) = (u/r - 1, w/r - 1), (-1, -1) where r_i = 0: J = diag(v) + diag(z) (m-1) M."""
+    r = r + (r == 0.0)  # 1 where u_i = w_i = 0, so that both quotients are 0 there
+    return u / r - 1.0, w / r - 1.0
+
+
+def _fb_grad(m: int, u, phi, w, r, mat) -> np.ndarray:
+    """grad_merit at the rows u from their _fb_eval parts, with no contraction."""
+    v, z = _fb_slopes(u, w, r)
+    return v * phi + (m - 1) * ((z * phi)[..., None, :] @ mat)[..., 0, :]
 
 
 def grad_merit(inst: Instance, u) -> np.ndarray:
     """Gradient of merit_fb for a semi-symmetric tensor, row by row for a batch.
 
     Equals J^T Phi = D_v Phi + (m-1) M(u)^T D_z Phi for the generalized
-    Jacobian J of the FB residual (see _fb_parts).  The Jacobian enters
+    Jacobian J of the FB residual (see _fb_slopes).  The Jacobian enters
     transposed: the chain rule applies row i of it against component i of Phi.
     """
     if not inst.tensor.semi_symmetric():
         raise ValueError(
             "grad_merit requires a semi-symmetric tensor; apply semi_symmetrize first"
         )
-    phi, v, z, mat = _fb_parts(inst, u)
-    return v * phi + (inst.m - 1) * ((z * phi)[..., None, :] @ mat)[..., 0, :]
+    u = _rows(u)
+    return _fb_grad(inst.m, u, *_fb_eval(inst, u))
 
 
 def objective(inst: Instance, u, params: ObjectiveParams):

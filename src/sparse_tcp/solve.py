@@ -6,12 +6,16 @@ alpha * t * |.|^p, which sets small entries to exactly 0.  At p = 1/2 the prox
 is the half-thresholding operator of Z. Xu, X. Chang, F. Xu, H. Zhang, IEEE
 TNNLS 23 (2012); at other p it is 0 up to a closed-form threshold and the
 larger root of x + lam p x^(p-1) = |y| beyond it (W. Zuo, D. Meng, L. Zhang,
-X. Feng, D. Zhang, ICCV 2013).  solve_sparse_tcp walks a decreasing schedule
-of weights with warm starts, all starts as one batch, thresholds the final point
-by the closed-form magnitude floor L, and finishes every nonzero thresholded
-point with semismooth Newton on the full Fischer-Burmeister system (De Luca,
-Facchinei, Kanzow, Math. Program. 75, 1996), whose verified root replaces it,
-each of its step lengths found in closed form (see _fb_newton).
+X. Feng, D. Zhang, ICCV 2013).  Each batch of trial points is evaluated once:
+one contract_m2 stack gives its objective and, for an accepted step, the merit
+gradient of the next one; a line search tests every row's full step in one
+call and sends only the rows that reject it down a ladder of 4, then 20, then
+the remaining shorter steps per call.  solve_sparse_tcp walks a decreasing
+schedule of weights with warm starts, all starts as one batch, thresholds the
+final point by the closed-form magnitude floor L, and finishes every nonzero
+thresholded point with semismooth Newton on the full Fischer-Burmeister system
+(De Luca, Facchinei, Kanzow, Math. Program. 75, 1996), whose verified root
+replaces it, each of its step lengths found in closed form (see _fb_newton).
 
 The default schedule has two t-steps: a warm step at t0 = 0.1, then the final
 step at t_final = 0.1 * 2^-11, where a 12-step halving walk ends, so L, the
@@ -27,7 +31,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .merit import ObjectiveParams, _fb_parts, _rows, grad_merit, merit_fb, objective
+from .merit import ObjectiveParams, _fb_eval, _fb_grad, _fb_slopes, _rows, grad_merit, merit_fb
+from .merit import objective
 from .oracle import _NEWTON_TRIES, _newton_steps, reduced_newton, verify_solution
 from .regpath import (
     BoundInputs,
@@ -35,7 +40,6 @@ from .regpath import (
     card,
     compute_Bbar,
     lower_bound_L,
-    lp_norm_p,
     q_tilde,
     threshold_by_L,
 )
@@ -169,7 +173,7 @@ def _prox_half(y, lam):
     and then replaced by 0, which keeps the computation dense.
     """
     a = np.abs(y)
-    thr = _prox_threshold(lam, 0.5)
+    thr = 1.5 * lam ** (2.0 / 3.0)  # _prox_threshold(lam, 0.5), bit for bit
     phi = np.arccos(lam / 4.0 * (np.maximum(a, thr) / 3.0) ** -1.5)
     x = 2.0 / 3.0 * a * (1.0 + np.cos(2.0 * np.pi / 3.0 - 2.0 / 3.0 * phi))
     return np.where(a > thr, np.copysign(x, y), 0.0)
@@ -207,45 +211,48 @@ def _prox_step(inst, params, x, f, g, alpha):
     Row r accepts the first step = alpha_r * _ARMIJO_SHRINK^j, j < _ARMIJO_TRIES,
     whose x+ = prox_{step t |.|^p}(x_r - step g_r) has
     F(x+) <= f_r - _ARMIJO_C / (2 step) ||x+ - x_r||^2 (never a NaN value): the
-    step a backtracking loop would accept.  The rows that reject their full
-    step evaluate a ladder of shorter steps per objective call, as many as keep
-    a call within tensors.block_rows rows (at least one each).  Returns
-    (x_new, f_new, step, found); a row with found False accepted no step and
-    holds meaningless values.
+    step a backtracking loop would accept.  Each batch of trial points costs
+    one _fb_eval call.  The first tests every row's full step; the rows that
+    reject it go down a ladder, 4 j lengths per call from step j (4, 20, the
+    rest), fewer where M would pass tensors._BLOCK_ENTRIES entries (one row
+    at least).  Returns (x_new, f_new, step, found, parts), parts the _fb_eval
+    (phi, w, r, M) of x_new; a row with found False holds meaningless values.
     """
 
-    def trial(rows, steps):  # candidates (len(rows), len(steps[0]), n) and their bound
-        y = x[rows, None] - steps[..., None] * g[rows, None]
-        cand = _prox_lp(y, params.t * steps[..., None], params.p)
-        dx = cand - x[rows, None]
-        return cand, f[rows, None] - _ARMIJO_C / (2.0 * steps) * np.einsum("ijk,ijk->ij", dx, dx)
+    def value(y, phi):  # F at the rows y from their FB residual phi
+        return 0.5 * (phi * phi).sum(axis=-1) + params.t * (np.abs(y) ** params.p).sum(axis=-1)
 
-    cand, bound = trial(np.arange(alpha.size), alpha[:, None])
-    x_new = cand[:, 0]
-    f_new = objective(inst, x_new, params)
-    found = f_new <= bound[:, 0]
+    x_new = _prox_lp(x - alpha[:, None] * g, params.t * alpha[:, None], params.p)
+    parts = _fb_eval(inst, x_new)
+    f_new = value(x_new, parts[0])
+    dx = x_new - x
+    found = f_new <= f - _ARMIJO_C / (2.0 * alpha) * np.einsum("ij,ij->i", dx, dx)
     if found.all():
-        return x_new, f_new, alpha, found
-    step = alpha.copy()
-    pending = np.flatnonzero(~found)
-    per_call = block_rows(inst.tensor)
+        return x_new, f_new, alpha, found, parts
+    step, pending = alpha.copy(), np.flatnonzero(~found)
+    per_call = block_rows(inst.tensor, inst.n if inst.m == 2 else 1)  # M: n^2 entries a row
     j = 1
     while pending.size and j < _ARMIJO_TRIES:
-        span = min(max(1, per_call // pending.size), _ARMIJO_TRIES - j)
+        span = min(max(1, per_call // pending.size), _ARMIJO_TRIES - j, 4 * j)
         steps = alpha[pending, None] * _ARMIJO_SHRINK ** np.arange(j, j + span)
-        cand, bound = trial(pending, steps)
-        f_cand = objective(inst, cand.reshape(-1, x.shape[1]), params).reshape(steps.shape)
-        ok = f_cand <= bound
+        y = x[pending, None] - steps[..., None] * g[pending, None]
+        cand = _prox_lp(y, params.t * steps[..., None], params.p)
+        dx = cand - x[pending, None]
+        bound = f[pending, None] - _ARMIJO_C / (2.0 * steps) * np.einsum("ijk,ijk->ij", dx, dx)
+        cand = cand.reshape(-1, x.shape[1])
+        got = _fb_eval(inst, cand)
+        f_cand = value(cand, got[0])
+        ok = f_cand.reshape(steps.shape) <= bound
         rung = np.argmax(ok, axis=1)  # first accepted step of each row
         hit = ok[np.arange(pending.size), rung]
-        rows, rung = pending[hit], rung[hit]
-        x_new[rows] = cand[hit, rung]
-        f_new[rows] = f_cand[hit, rung]
-        step[rows] = steps[hit, rung]
+        rows, pick = pending[hit], np.flatnonzero(hit) * span + rung[hit]
+        x_new[rows], f_new[rows], step[rows] = cand[pick], f_cand[pick], steps.flat[pick]
+        for kept, new in zip(parts, got):
+            kept[rows] = new[pick]
         found[rows] = True
         pending = pending[~hit]
         j += span
-    return x_new, f_new, step, found
+    return x_new, f_new, step, found, parts
 
 
 def _descend(inst, u0, params):
@@ -257,20 +264,22 @@ def _descend(inst, u0, params):
 
     A step is x+ = prox_{alpha t |.|^p}(x - alpha g), g the merit gradient,
     accepted once F(x+) <= F(x) - _ARMIJO_C / (2 alpha) ||x+ - x||^2 (so F
-    never rises), halving alpha up to _ARMIJO_TRIES times.  alpha starts at
-    _STEP0, then each row takes the Barzilai-Borwein length s.s / s.y on its
-    merit gradients, clipped to [_STEP_MIN, min(4 alpha_prev, _STEP_MAX)].  A
-    row stops on the first of: max|x+ - x| / alpha <= _STOP_TOL; the support
-    unchanged over _HELD_STEPS accepted steps and max|x+ - x| / alpha <=
-    _HELD_TOL; no step accepted; _MAX_INNER iterations.
+    never rises), halving alpha up to _ARMIJO_TRIES times (_prox_step).  A
+    trial point costs one contract_m2 stack: F comes from its _fb_eval parts,
+    and the accepted point's next gradient from the same parts (_fb_grad).
+    alpha starts at _STEP0, then each row takes the Barzilai-Borwein length
+    s.s / s.y on its merit gradients, clipped to [_STEP_MIN, min(4 alpha_prev,
+    _STEP_MAX)].  A row stops on the first of: max|x+ - x| / alpha <=
+    _STOP_TOL; the support unchanged over _HELD_STEPS accepted steps and
+    max|x+ - x| / alpha <= _HELD_TOL; no step accepted; _MAX_INNER iterations.
     """
     u = np.array(u0, dtype=float)
     norm2 = np.einsum("ij,ij->i", u, u)  # largest squared iterate norm per row
     f0 = objective(inst, u, params)
     finite = np.isfinite(f0)
     f_final = np.where(finite, f0, np.nan)
-    # The rows still iterating, compacted: row i of x, f, g, alpha and held
-    # belongs to start idx[i].
+    # The rows still iterating, compacted: row i of x, f, g, parts, alpha and
+    # held belongs to start idx[i].
     idx = np.flatnonzero(finite)
     x, f = u[idx], f_final[idx]
     g = grad_merit(inst, x)
@@ -278,20 +287,22 @@ def _descend(inst, u0, params):
     for _ in range(_MAX_INNER):
         if not idx.size:
             break
-        x_new, f_new, step, found = _prox_step(inst, params, x, f, g, alpha)
+        x_new, f_new, step, found, parts = _prox_step(inst, params, x, f, g, alpha)
         x_new[~found], f_new[~found] = x[~found], f[~found]  # such a row stops where it is
         s = x_new - x
         move = np.abs(s).max(axis=1) / step
-        held = np.where(np.all((x_new != 0.0) == (x != 0.0), axis=1), held + 1, 0)
+        held = (held + 1) * ((x_new != 0.0) == (x != 0.0)).all(axis=1)
         stop = ~found | (move <= _STOP_TOL) | ((held >= _HELD_STEPS) & (move <= _HELD_TOL))
         x, f = x_new, f_new
         norm2[idx] = np.maximum(norm2[idx], np.einsum("ij,ij->i", x, x))
         if stop.any():
             u[idx[stop]], f_final[idx[stop]] = x[stop], f[stop]
-            idx, x, f, g, s, step, held = (a[~stop] for a in (idx, x, f, g, s, step, held))
+            idx, x, f, g, s, step, held, *parts = (
+                a[~stop] for a in (idx, x, f, g, s, step, held, *parts)
+            )
             if not idx.size:
                 break
-        g_new = grad_merit(inst, x)
+        g_new = _fb_grad(inst.m, x, *parts)
         y = g_new - g
         sy = np.einsum("ij,ij->i", s, y)
         alpha = np.divide(np.einsum("ij,ij->i", s, s), sy, out=step.copy(), where=sy > 1e-300)
@@ -357,7 +368,7 @@ def _fb_newton(inst: Instance, x0) -> np.ndarray:
     """Damped semismooth Newton on the full system Phi_FB(u) = 0, row by row.
 
     x0 is a (k, n) block of seeds advanced together.  The step d solves
-    J d = Phi with J the generalized Jacobian of _fb_parts (a degenerate pair
+    J d = Phi with J the generalized Jacobian of _fb_slopes (a degenerate pair
     gets (v_i, z_i) = (-1, -1)), and x - lam d takes the first lam of 1, 1/2,
     ..., 2^-39 with ||Phi(x - lam d)||^2 <= (1 - 2 _ARMIJO_C lam) ||Phi(x)||^2,
     the step a halving loop would take, found in closed form: w(x - lam d) is
@@ -376,7 +387,8 @@ def _fb_newton(inst: Instance, x0) -> np.ndarray:
     for _ in range(_FB_ITERS):
         if not act.size:
             break
-        phi, v, z, mat = _fb_parts(inst, x[act])
+        phi, w, r, mat = _fb_eval(inst, x[act])
+        v, z = _fb_slopes(x[act], w, r)
         jac = (inst.m - 1) * z[..., None] * mat
         jac[:, diag, diag] += v
         step = _newton_steps(jac, phi)
@@ -417,8 +429,9 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
     warm starts.  Each start computes the magnitude floor L at the final t
     from the norms it actually observed and thresholds.  Every start with a
     nonzero thresholded point is finished by semismooth FB Newton on the full
-    system, all as one block, seeded from max(u, 0) and from |u|; the best
-    verified seed replaces the point, else a note says the finish failed.
+    system, all as one block, seeded from max(u, 0) and, where u has a
+    negative entry, from |u| too; the best verified seed replaces the point,
+    else a note says the finish failed.
     A start whose objective turns non-finite is dropped with a note, so
     floating-point overflow and invalid-value warnings are silenced.  The
     best remaining start wins by final objective, ties broken by smaller
@@ -448,7 +461,7 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
             # f0 ends as the objective at the start of the final t-step
             u[rows], f0[rows], f_hist[step, rows], mx, finite = _descend(inst, u[rows], params)
             max_norm[rows] = np.maximum(max_norm[rows], mx)
-            lp_hist[step, rows] = [lp_norm_p(x, p) for x in u[rows]]
+            lp_hist[step, rows] = (np.abs(u[rows]) ** p).sum(axis=1)  # lp_norm_p of each row
             for r in rows[~finite]:
                 notes[r].append(f"start {r}: diverged at t={t!r} (non-finite objective), dropped")
             live[rows[~finite]] = False
@@ -465,18 +478,21 @@ def solve_sparse_tcp(inst: Instance, opts: SolveOptions | None = None) -> SolveR
             if np.any(np.abs(u[r]) > _support_tol(L)):
                 finish.append(r)
         if finish:
-            seeds = np.concatenate([np.maximum(u[finish], 0.0), np.abs(u[finish])])
+            # every start is seeded from max(u, 0), and from |u| where u has a negative entry
+            neg = np.flatnonzero((u[finish] < 0.0).any(axis=1))
+            seeds = np.concatenate([np.maximum(u[finish], 0.0), np.abs(u[finish][neg])])
             seeds = _fb_newton(inst, seeds)
             f_seeds = objective(inst, seeds, final_params)
+            second = dict(zip(neg.tolist(), range(len(finish), len(seeds))))
             for i, r in enumerate(finish):
                 L = bounds[r][0]
-                verified = [
+                ranked = sorted(  # so the first seed that verifies is the best verified one
                     (f_seeds[j], card(seeds[j], _support_tol(L)), tuple(seeds[j]), j)
-                    for j in (i, i + len(finish))
-                    if _check(inst, seeds[j], opts, L)[1]
-                ]
-                if verified:
-                    u[r] = seeds[min(verified)[3]]
+                    for j in {i, second.get(i, i)}
+                )
+                best = next((j for *_, j in ranked if _check(inst, seeds[j], opts, L)[1]), None)
+                if best is not None:
+                    u[r] = seeds[best]
                 else:
                     notes[r].append(f"start {r}: FB Newton finish failed")
 

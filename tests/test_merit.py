@@ -21,6 +21,7 @@ from sparse_tcp import (
     semi_symmetrize,
     verify_solution,
 )
+from sparse_tcp.merit import _fb_eval, _fb_grad, _fb_slopes
 from sparse_tcp.oracle import OracleOptions
 from sparse_tcp.solve import smooth_grad, smooth_objective
 from sparse_tcp.tensors import contract_m1, example_instance, gen_instance
@@ -168,6 +169,33 @@ def test_batched_rows_match_one_vector_calls():
             single = np.array([fn(u) for u in rows])
             assert batch.shape == single.shape
             np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+
+def test_fb_eval_parts_give_objective_and_grad_merit():
+    # one contract_m2 stack gives w = M u + q, the FB residual and so the
+    # objective, and through _fb_slopes and _fb_grad the merit gradient J^T Phi;
+    # a pair with u_i = w_i = 0 gets the slopes (v_i, z_i) = (-1, -1)
+    rng = np.random.default_rng(12)
+    params = ObjectiveParams(t=0.2, p=0.5)
+    degenerate = Instance(identity_tensor(3, 3), np.array([-1.0, 0.0, 0.5]))
+    instances = [degenerate] + [gen_z_feasible(n, m, 3)[0] for n, m in ((4, 2), (4, 3), (3, 4))]
+    for inst in instances:
+        u = rng.uniform(-1.0, 1.5, (5, inst.n))
+        u[:2, 1] = 0.0  # w_1 = u_1^2 + q_1 = 0 there on the diagonal instance
+        phi, w, r, mat = _fb_eval(inst, u)
+        v, z = _fb_slopes(u, w, r)
+        g = _fb_grad(inst.m, u, phi, w, r, mat)
+        if inst is degenerate:
+            assert np.all(r[:2, 1] == 0.0) and np.all(v[:2, 1] == -1.0) and np.all(z[:2, 1] == -1.0)
+        w_ref = contract_m1(inst.tensor, u) + inst.q
+        assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+        f = 0.5 * (phi * phi).sum(axis=1) + params.t * (np.abs(u) ** params.p).sum(axis=1)
+        np.testing.assert_allclose(f, objective(inst, u, params), rtol=1e-13, atol=0)
+        for i, row in enumerate(u):
+            jac = np.diag(v[i]) + (inst.m - 1) * z[i][:, None] * mat[i]
+            scale = np.abs(g[i]).max()
+            assert np.abs(g[i] - jac.T @ phi[i]).max() <= 1e-13 * scale
+            assert np.abs(g[i] - grad_merit(inst, row)).max() <= 1e-13 * scale
 
 
 def test_grad_merit_requires_semi_symmetric():

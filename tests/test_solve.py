@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparse_tcp.merit as merit_mod
 import sparse_tcp.oracle as oracle
 import sparse_tcp.solve as solve_mod
 import sparse_tcp.tensors as tensors_mod
@@ -42,7 +43,7 @@ from sparse_tcp import (
     tensor_norm,
     verify_solution,
 )
-from sparse_tcp.merit import _fb_parts
+from sparse_tcp.merit import _fb_eval, _fb_slopes
 from sparse_tcp.solve import _descend, _fb_newton
 
 
@@ -238,9 +239,10 @@ def descent_steps(monkeypatch):
     prox_step = solve_mod._prox_step
 
     def prox_step_seen(*args, **kwargs):
-        x_new, f_new, step, found = prox_step(*args, **kwargs)
+        out = prox_step(*args, **kwargs)
+        x_new, _, step, found, _ = out
         calls.append((x_new[0].copy(), float(step[0]), bool(found[0])))
-        return x_new, f_new, step, found
+        return out
 
     monkeypatch.setattr(solve_mod, "_prox_step", prox_step_seen)
 
@@ -304,6 +306,85 @@ def test_descent_rows_stop_by_the_rule(monkeypatch):
         x, x_new, _, found = trace[-1]
         np.testing.assert_array_equal(u, x_new if found else x)
     assert "support held" in rules
+
+
+def count_contractions(monkeypatch):
+    """Count the contract_m1 and contract_m2 calls of the merit layer and the solver."""
+    counts = {"contract_m1": 0, "contract_m2": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for mod in (merit_mod, solve_mod):
+        for name in counts:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return counts
+
+
+@pytest.mark.parametrize("step0", [solve_mod._STEP0, 1e4])
+def test_descent_contracts_each_trial_batch_once(monkeypatch, step0):
+    # a trial batch is one contract_m2 stack, which also gives the accepted
+    # rows' next gradient: the full step, then one call per ladder span (rungs
+    # 1-4, 5-24, 25-69) down to the deepest rung any row needed.  Only the
+    # objective at u0 calls contract_m1, and only the first gradient
+    # contract_m2 outside a step.  A first step far too long needs deep ladders
+    monkeypatch.setattr(solve_mod, "_STEP0", step0)
+    counts = count_contractions(monkeypatch)
+    prox_step, batches = solve_mod._prox_step, []
+
+    def prox_step_seen(inst, params, x, f, g, alpha):
+        before = dict(counts)
+        out = prox_step(inst, params, x, f, g, alpha)
+        _, _, step, found, _ = out
+        deepest = np.where(found, np.log2(alpha / step), solve_mod._ARMIJO_TRIES - 1).max()
+        batches.append(1 + int(deepest >= 1) + int(deepest >= 5) + int(deepest >= 25))
+        assert counts["contract_m2"] - before["contract_m2"] == batches[-1]
+        assert counts["contract_m1"] == before["contract_m1"]
+        return out
+
+    monkeypatch.setattr(solve_mod, "_prox_step", prox_step_seen)
+    rng = np.random.default_rng(6)
+    for n, m, seed, t in ((4, 3, 5, 0.05), (5, 3, 2, 0.1 * 0.5**11), (3, 4, 7, 0.1)):
+        inst, _, _ = gen_z_feasible(n, m, seed)
+        counts.update(contract_m1=0, contract_m2=0)
+        batches.clear()
+        _descend(inst, rng.uniform(0.1, 1.5, (5, n)), ObjectiveParams(t=t, p=0.5))
+        assert counts == {"contract_m1": 1, "contract_m2": 1 + sum(batches)}
+        assert max(batches) >= (2 if step0 < 1 else 3)  # rows went down the ladder
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ladder_keeps_each_m_stack_within_the_block_cap(monkeypatch, m):
+    # M holds n^2 entries per row, more than the n^(m-1) Kronecker entries that
+    # block_rows counts at m = 2: under a cap of 6 rows of M, a first step far
+    # too long sends the rows deep down the ladder, each call within the cap,
+    # and the descent still follows the one-start loop
+    n = 4
+    monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", 6 * n * n)
+    monkeypatch.setattr(solve_mod, "_MAX_INNER", 8)
+    monkeypatch.setattr(solve_mod, "_STEP0", 1e4)
+    contract_m2, rows = merit_mod.contract_m2, []
+
+    def contract_m2_seen(A, u):
+        rows.append(len(u))
+        return contract_m2(A, u)
+
+    params = ObjectiveParams(t=0.05, p=0.5)
+    inst, _, _ = gen_z_feasible(n, m, 3)
+    u0 = np.random.default_rng(8).uniform(0.1, 1.5, (4, n))
+    monkeypatch.setattr(merit_mod, "contract_m2", contract_m2_seen)
+    u, _, f_final, _, finite = _descend(inst, u0, params)
+    monkeypatch.setattr(merit_mod, "contract_m2", contract_m2)
+    assert finite.all() and max(rows) <= 6 and len(rows) > 10
+    for r in range(len(u0)):
+        ref_u, ref_f = descend_one_start(inst, u0[r], params)
+        np.testing.assert_allclose(u[r], ref_u, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(f_final[r], ref_f, rtol=1e-9, atol=1e-12)
 
 
 # -- one-row descent ----------------------------------------------------------------
@@ -601,7 +682,8 @@ def fb_newton_one_row(inst, x0):
     x = np.array(x0, dtype=float)
     diag = np.arange(inst.n)
     for _ in range(solve_mod._FB_ITERS):
-        phi, v, z, mat = _fb_parts(inst, x)
+        phi, w, r, mat = _fb_eval(inst, x)
+        v, z = _fb_slopes(x, w, r)
         if np.max(np.abs(phi)) <= solve_mod._FB_TOL:
             break
         jac = (inst.m - 1) * z[:, None] * mat
@@ -672,6 +754,49 @@ def test_fb_newton_degenerate_pair_uses_grad_cfg():
     x = _fb_newton(inst, np.array([[0.5, 0.0]]))
     np.testing.assert_allclose(x[0], [1.0, 0.0], atol=1e-14)
     assert x[0, 1] == 0.0
+
+
+def test_finish_seeds_abs_only_where_u_has_a_negative_entry(monkeypatch):
+    # every finished start is seeded from max(u, 0), and from |u| only where u
+    # has a negative entry: elsewhere the two seeds are the same.  Each start
+    # still ends as a finish seeding both for every start would end it: at
+    # its best verified seed, else at its thresholded point
+    floors, newton_seeds = [], []
+    threshold_by_L, fb_newton = solve_mod.threshold_by_L, solve_mod._fb_newton
+
+    def threshold_seen(u, L):
+        floors.append((threshold_by_L(u, L), L))
+        return floors[-1][0]
+
+    monkeypatch.setattr(solve_mod, "threshold_by_L", threshold_seen)
+    monkeypatch.setattr(
+        solve_mod, "_fb_newton", lambda inst, x0: newton_seeds.append(x0) or fb_newton(inst, x0)
+    )
+    opts = SolveOptions()
+    final = ObjectiveParams(t=opts.schedule.values()[-1], p=opts.p)
+    one_seed = two_seeds = 0
+    for n, seed in ((5, 1016), (4, 1027), (5, 1001)):
+        inst, _, _ = gen_z_feasible(n, 3, seed)
+        report = solve_sparse_tcp(inst, opts)
+        u = np.array([row for row, _ in floors])
+        (x0,) = newton_seeds
+        assert len(u) == opts.starts and np.all(np.abs(u).max(axis=1) > 0.0)
+        neg = (u < 0.0).any(axis=1)
+        one_seed, two_seeds = one_seed + int((~neg).sum()), two_seeds + int(neg.sum())
+        np.testing.assert_array_equal(x0, np.concatenate([np.maximum(u, 0.0), np.abs(u[neg])]))
+        x = fb_newton(inst, np.concatenate([np.maximum(u, 0.0), np.abs(u)]))
+        f = objective(inst, x, final)
+        for r, (_, L) in enumerate(floors):
+            verified = [
+                (f[j], solve_mod.card(x[j], solve_mod._support_tol(L)), tuple(x[j]), j)
+                for j in (r, r + len(u))
+                if solve_mod._check(inst, x[j], opts, L)[1]
+            ]
+            expected = x[min(verified)[3]] if verified else u[r]
+            np.testing.assert_array_equal(report.per_start[r]["u_final"], expected)
+        floors.clear()
+        newton_seeds.clear()
+    assert one_seed > 0 and two_seeds > 0
 
 
 def test_solve_multistart_tie_break():
