@@ -3,14 +3,16 @@
 Support enumeration gives the full verified solution list, the minimal
 cardinality, and the minimal-l_p selection: every support's seeded starts
 become rows of one masked damped-Newton batch on the full tensor, with each
-row's support as a mask instead of a sub-tensor.  Along a Newton direction
-the residual is a polynomial in the step length, so one contract_line call
-gives in closed form the step a halving loop would take, up to rounding in
-the Gram form.  On Z-tensor instances a monotone Jacobi iteration from u = 0,
-finished by one reduced Newton solve, computes the least element of the
-feasible set, which is a sparsest solution.  Its sparsity needs no enumeration: the iterates lie below
-every feasible point, so every entry of the result above NEWTON_REACH is
-nonzero in every solution.
+row's support as a mask instead of a sub-tensor.  A support where the signs
+of q and A rule out a nonnegative root draws its starts but leaves the batch,
+so the rows kept get the starts they would get with nothing ruled out.
+Along a Newton direction the residual is a polynomial in the step length, so
+one contract_line call gives in closed form the step a halving loop would
+take, up to rounding in the Gram form.  On Z-tensor instances a monotone
+Jacobi iteration from u = 0, finished by one reduced Newton solve, computes
+the least element of the feasible set, which is a sparsest solution.  Its
+sparsity needs no enumeration: the iterates lie below every feasible point,
+so every entry of the result above NEWTON_REACH is nonzero in every solution.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ class OracleResult:
     min_card: int | None
     sparse_solution: np.ndarray | None
     minimal_lp: dict = field(default_factory=dict)
-    # every support was searched, not every root found: a support's starts can all miss its
-    # root (no solution found on the tests' coupled 713 and 715, or on random n 4, m 3, 6147)
+    # every support was searched or ruled out by signs, not every root found: a support's
+    # starts can all miss its root (no solution found on the tests' coupled 713 and 715, or
+    # on random n 4, m 3, 6147)
     exhaustive: bool = False
 
     def to_dict(self) -> dict:
@@ -194,24 +197,57 @@ def reduced_newton(inst: Instance, mask, x0, iters: int = 60, tol: float = 1e-12
     return x, tuple(status)
 
 
+def _sign_ruled_out(inst: Instance) -> np.ndarray:
+    """Bool per support S, indexed by its bitmask (bit i for i in S): S holds no root, by signs.
+
+    At u >= 0 with u = 0 off S, w_i = q_i + sum a_iJ u_J over the trailing
+    multi-indices J inside S, each u_J >= 0.  So S is ruled out when
+      1. some i in S has q_i > 0 and no negative a_iJ inside S (w_i > 0), or
+      2. some i in S has q_i < 0 and no positive a_iJ inside S (w_i < 0), or
+      3. some j off S has q_j < 0 and no positive a_jJ inside S (w_j < 0: S is
+         infeasible; on a Z-tensor, every S that misses some q_j < 0).
+    Rules 2 and 3 are one test over all rows; q_i = 0 rules out nothing.  The
+    rule excludes exact roots: a point that verifies only within a tolerance
+    can sit on a ruled-out S only when the |q_i| behind the rule is of the
+    order of that tolerance.  Sign tables over the 2^n index sets, closed
+    under supersets, keep memory at O(n^m + n 2^n).
+    """
+    n, rows = inst.n, inst.tensor.entries.reshape(inst.n, -1)
+    bits = np.zeros(1, dtype=np.uint16)  # index set of each trailing multi-index, row-major
+    for _ in range(inst.m - 1):
+        bits = (bits[:, None] | (1 << np.arange(n, dtype=np.uint16))).reshape(-1)
+    inside = np.zeros((2, n, 2**n), dtype=bool)  # a positive / negative a_iJ with index set B
+    for i, row in enumerate(rows):
+        inside[0, i, bits[row > 0]] = True
+        inside[1, i, bits[row < 0]] = True
+    for b in range(n):  # from index set exactly B to index set inside S
+        sets = inside.reshape(2, n, -1, 2, 2**b)
+        sets[:, :, :, 1] |= sets[:, :, :, 0]
+    member = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(bool)
+    q = inst.q[:, None]
+    return (((q > 0) & member & ~inside[1]) | ((q < 0) & ~inside[0])).any(axis=0)
+
+
 def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> OracleResult:
     """Exact sparse-solution search by support enumeration.
 
     Supports are visited by increasing cardinality, lexicographic within each
-    size.  Every nonempty support gets opts.newton_starts seeded starts, and
-    the starts of every support are stacked as rows of one masked
-    reduced_newton batch on the full tensor: one batch for all sizes when
-    opts.exhaustive, else one per size, so that the search stops at the first
-    size that yields a verified solution.  The converged roots of a batch are
-    screened together on the original instance, and every new root that
-    survives must pass verify_solution there; roots within DEDUP_TOL of a
-    solution already found are dropped.
+    size.  Every nonempty support draws opts.newton_starts seeded starts, and
+    the starts of every support that _sign_ruled_out keeps are stacked as
+    rows of one masked reduced_newton batch on the full tensor: one batch for
+    all sizes when opts.exhaustive, else one per size, so that the search
+    stops at the first size that yields a verified solution.  A ruled-out
+    support still draws its starts, so the kept ones keep theirs.  The
+    converged roots of a batch are screened together on the original
+    instance, and every new root that survives must pass verify_solution
+    there; roots within DEDUP_TOL of a solution already found are dropped.
     """
     opts = opts or OracleOptions()
     n = inst.n
     if n > N_MAX:
         raise ValueError(f"support enumeration is capped at n <= {N_MAX}, got n = {n}")
     work = semi_symmetric_instance(inst)
+    ruled_out = _sign_ruled_out(work)
     rng = np.random.default_rng(opts.seed)
     max_card = n if opts.max_card is None else min(opts.max_card, n)
     k = opts.newton_starts
@@ -234,13 +270,16 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
         for group in [sizes] if opts.exhaustive else [[size] for size in sizes]:
             if solutions and not opts.exhaustive:
                 break
-            supports = [list(s) for size in group for s in itertools.combinations(range(n), size)]
-            mask = np.zeros((len(supports) * k, n), dtype=bool)
+            supports = [s for size in group for s in itertools.combinations(range(n), size)]
+            codes = np.array([sum(1 << i for i in s) for s in supports], dtype=int)  # bitmasks
+            mask = np.repeat((codes[:, None] >> np.arange(n)) & 1 == 1, k, axis=0)
             x0 = np.zeros(mask.shape)
-            for i, support in enumerate(supports):
-                mask[i * k : (i + 1) * k, support] = True
-                x0[i * k : (i + 1) * k, support] = rng.uniform(0.05, 2.0, (k, len(support)))
-            xs, statuses = reduced_newton(work, mask, x0)
+            x0[mask] = rng.uniform(0.05, 2.0, mask.sum())  # row-major: support by support
+            keep = np.repeat(~ruled_out[codes], k)
+            if not keep.any():
+                continue
+            mask = mask[keep]
+            xs, statuses = reduced_newton(work, mask, x0[keep])
             ok = np.array(statuses) == "ok"
             x, size, slack = xs[ok], mask[ok].sum(axis=1), 10.0 * opts.tol
             # one batch screens the roots: a miss by 10 tol fails verify_solution at tol
@@ -252,8 +291,8 @@ def brute_force_sparse(inst: Instance, opts: OracleOptions | None = None) -> Ora
     solutions.sort(key=lambda entry: (len(entry[1]), tuple(entry[0])))
     min_card = min(found_at, default=None)
     sparse = next((u.copy() for u, sup, _ in solutions if len(sup) == min_card), None)
-    # exhaustive: every support of every size was searched in full (no early
-    # exit after the first hit, no size cap below n)
+    # exhaustive: every support of every size was searched in full or ruled out
+    # by signs (no early exit after the first hit, no size cap below n)
     no_early_exit = opts.exhaustive or min_card is None or min_card == max_card
     return OracleResult(
         solutions=solutions,

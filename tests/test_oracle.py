@@ -204,6 +204,146 @@ def test_brute_force_properties(kind, n, m, seed):
         np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
 
 
+# -- sign rule -----------------------------------------------------------------
+
+
+def supports_up_to(n, last, first=1):
+    """Supports of sizes first..last in enumeration order: by size, then lexicographic."""
+    return [s for size in range(first, last + 1) for s in itertools.combinations(range(n), size)]
+
+
+def ruled_out_supports(inst):
+    """The supports, as sorted index tuples, that oracle._sign_ruled_out rules out."""
+    table = oracle._sign_ruled_out(inst)
+    return {s for s in supports_up_to(inst.n, inst.n, 0) if table[sum(1 << i for i in s)]}
+
+
+def tensor_instance(m, n, entries, q):
+    """Instance from a dict {multi-index: value}; every other entry is 0."""
+    arr = np.zeros((n,) * m)
+    for index, value in entries.items():
+        arr[index] = value
+    return Instance(DenseTensor(m, n, arr.reshape(-1)), np.asarray(q, dtype=float))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sign_rule_each_rule_fires(m):
+    def diag(*values):
+        return {(i,) * m: v for i, v in enumerate(values)}
+
+    # rule 1: q_0 > 0 and row 0 holds no negative entry inside {0}; at
+    # {0, 1} the coupling a_0(1..1) < 0 lies inside and keeps it
+    inst = tensor_instance(m, 2, {**diag(1.0, 1.0), (0,) + (1,) * (m - 1): -1.0}, [1.0, 0.0])
+    assert ruled_out_supports(inst) == {(0,)}
+    # rule 2: q_0 < 0 and row 0 holds no positive entry inside {0} or {0, 1}
+    inst = tensor_instance(m, 2, diag(-1.0, 1.0), [-1.0, 0.0])
+    assert ruled_out_supports(inst) == {(), (0,), (1,), (0, 1)}
+    inst = tensor_instance(m, 2, {**diag(-1.0, 1.0), (0,) + (1,) * (m - 1): 2.0}, [-1.0, 0.0])
+    assert ruled_out_supports(inst) == {(), (0,)}
+    # rule 3: q_1 < 0 and row 1 holds no positive entry inside {0}, so every
+    # support that misses 1 is infeasible
+    inst = tensor_instance(m, 2, diag(1.0, 1.0), [0.0, -1.0])
+    assert ruled_out_supports(inst) == {(), (0,)}
+
+
+@pytest.mark.parametrize("q", list(itertools.product([-1.0, 0.0, 1.0], repeat=3)))
+def test_sign_rule_keeps_supports_with_both_signs_in_every_row(q):
+    # every row holds a positive and a negative entry inside every support of
+    # size 2 or more, so no rule fires there, whatever the signs of q
+    m2 = tensor_instance(2, 2, {(0, 0): 1.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): 1.0}, q[:2])
+    assert (0, 1) not in ruled_out_supports(m2)
+    triples = itertools.product(range(3), repeat=3)
+    entries = {(i, j, k): 1.0 if j == k else -0.5 for i, j, k in triples}
+    m3 = tensor_instance(3, 3, entries, q)
+    assert all(len(s) < 2 for s in ruled_out_supports(m3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(2, 3), seed=st.integers(0, 10_000))
+def test_sign_rule_is_sound_at_nonnegative_points(n, m, seed):
+    # at nonnegative points that vanish off a ruled-out support S, some i in S
+    # has w_i != 0 with the sign of q_i, or some j off S has w_j < 0
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(-1, 2, n**m) * (rng.random(n**m) < 0.7)
+    q = rng.integers(-1, 2, n) * rng.uniform(0.1, 2.0, n)
+    inst = Instance(DenseTensor(m, n, signs * rng.uniform(0.1, 2.0, n**m)), q)
+    for support in ruled_out_supports(inst):
+        on = np.zeros(n, dtype=bool)
+        on[list(support)] = True
+        u = np.where(on, rng.uniform(0.0, 3.0, (50, n)) * (rng.random((50, n)) < 0.8), 0.0)
+        w = contract_m1(inst.tensor, u) + inst.q
+        forbidden = np.where(on, np.sign(w) * np.sign(inst.q) > 0, w < 0)
+        assert forbidden.any(axis=1).all(), (support, u[~forbidden.any(axis=1)])
+
+
+def sign_rule_seeds():
+    """Planted, coupled and random instances with the seed their enumeration draws with."""
+    for s in range(20):
+        yield gen_z_feasible(3 + s % 3, 3, s)[0], s
+        yield coupled_z_instance(s), s
+        yield gen_instance("random", 3 + s % 3, 3, s), s
+
+
+def test_sign_rule_ruled_out_supports_hold_no_verified_root():
+    # every start a ruled-out support draws in the enumeration ends on a point
+    # that fails verify_solution
+    ruled = 0
+    for inst, seed in sign_rule_seeds():
+        work = tensors.semi_symmetric_instance(inst)
+        supports = supports_up_to(inst.n, inst.n)
+        mask, x0 = support_batch(inst.n, supports, 20, np.random.default_rng(seed))
+        out = np.repeat([s in ruled_out_supports(work) for s in supports], 20)
+        xs, _ = reduced_newton(work, mask[out], x0[out])
+        assert not any(verify_solution(inst, x, 1e-8)[1] for x in xs), seed
+        ruled += out.sum() // 20
+    assert ruled > 500  # 802 of the 1,460 supports
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_sign_rule_changes_no_answer(monkeypatch, exhaustive):
+    # with nothing ruled out, every kept support draws the same starts, so the
+    # enumeration finds the same solutions, to the last bits of the batch width
+    instances = list(sign_rule_seeds())
+
+    def enumerate_all():
+        return [brute_force_sparse(inst, OracleOptions(exhaustive=exhaustive, seed=s))
+                for inst, s in instances]
+
+    results = enumerate_all()
+    monkeypatch.setattr(oracle, "_sign_ruled_out", lambda inst: np.zeros(2**inst.n, dtype=bool))
+    for result, full in zip(results, enumerate_all()):
+        assert (result.min_card, result.exhaustive) == (full.min_card, full.exhaustive)
+        assert [sup for _, sup, _ in result.solutions] == [sup for _, sup, _ in full.solutions]
+        for (u, _, _), (v, _, _) in zip(result.solutions, full.solutions):
+            np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_sign_rule_keeps_the_starts_of_kept_supports(monkeypatch, exhaustive):
+    # the batches reduced_newton sees are the kept supports' rows of the
+    # batch every support draws, bit for bit
+    seen = []
+    real = oracle.reduced_newton
+
+    def spy(inst, mask, x0):
+        seen.append((mask, x0))
+        return real(inst, mask, x0)
+
+    monkeypatch.setattr(oracle, "reduced_newton", spy)
+    cases = [(gen_z_feasible(5, 3, 7)[0], 7), (coupled_z_instance(3), 3)]
+    for inst, seed in cases + [(gen_instance("random", 4, 3, 2), 2)]:
+        seen.clear()
+        result = brute_force_sparse(inst, OracleOptions(exhaustive=exhaustive, seed=seed))
+        last = inst.n if exhaustive or result.min_card is None else result.min_card
+        supports = supports_up_to(inst.n, last)
+        mask, x0 = support_batch(inst.n, supports, 20, np.random.default_rng(seed))
+        ruled = ruled_out_supports(tensors.semi_symmetric_instance(inst))
+        kept = np.repeat([s not in ruled for s in supports], 20)
+        assert 0 < kept.sum() < kept.size
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in seen]), mask[kept])
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in seen]), x0[kept])
+
+
 # -- reduced_newton ------------------------------------------------------------
 
 
